@@ -23,6 +23,22 @@ class NonInvertibleError(Exception):
         self.block_index = block_index
 
 
+class DenseSizeError(ValueError):
+    """Dense block larger than MAX_ADJUGATE_SIZE."""
+
+    def __init__(self, message: str, block_index=None):
+        super().__init__(message)
+        self.block_index = block_index
+
+
+def _check_size(n: int, block_index=None):
+    if n > MAX_ADJUGATE_SIZE:
+        where = "dense block" if block_index is None else f"block {block_index}"
+        raise DenseSizeError(
+            f"{where} is {n}x{n}; dense determinants are capped at "
+            f"{MAX_ADJUGATE_SIZE}x{MAX_ADJUGATE_SIZE}", block_index=block_index)
+
+
 def identity(ring: RingDescriptor, n: int):
     one, zero = ring.one(), ring.zero()
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
@@ -75,8 +91,7 @@ def determinant(a) -> RingElement:
     n = len(a)
     if n == 0:
         raise ValueError("empty matrix")
-    if n > MAX_ADJUGATE_SIZE:
-        raise ValueError(f"dense determinant capped at {MAX_ADJUGATE_SIZE}x{MAX_ADJUGATE_SIZE}")
+    _check_size(n)
     ring = a[0][0].ring
     return _det_rows(a, tuple(range(n)), tuple(range(n)), {}, ring)
 
@@ -109,6 +124,7 @@ def adjugate_inverse(a, block_index=None):
     block index) otherwise.
     """
     n = len(a)
+    _check_size(n, block_index)
     ring = a[0][0].ring
     det = determinant(a)
     det_inv = rings.is_unit(det)

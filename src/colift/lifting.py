@@ -25,7 +25,8 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from . import dense, matrices, rings
@@ -203,16 +204,49 @@ class CertFactor:
 
 
 @dataclass(frozen=True)
+class SparseBlock:
+    """A square block stored by its nonzero entries: cols[j] = {i: value},
+    rows ascending; columns absent from `cols` are zero."""
+
+    size: int
+    cols: dict
+
+    @classmethod
+    def from_dense(cls, block) -> "SparseBlock":
+        cols = {}
+        for j in range(len(block)):
+            col = {i: row[j] for i, row in enumerate(block) if not row[j].is_zero()}
+            if col:
+                cols[j] = col
+        return cls(len(block), cols)
+
+
+@dataclass(frozen=True, eq=False)
 class SwindleWord:
     """Factors (in product order) whose product is the alternating diagonal
     diag(U, U^-1, U, U^-1, ...) starting at `offset`, identity below."""
 
     ring: RingDescriptor
     factors: tuple  # CertFactor, product order
-    target: ColFinMatrix
+    block: SparseBlock
+    block_inverse: SparseBlock
+    offset: int
 
     def product(self) -> ColFinMatrix:
         return ProductMatrix(self.ring, [f.inv.matrix for f in self.factors])
+
+    @cached_property
+    def target(self) -> ColFinMatrix:
+        """The alternating diagonal as a dense-tailed block diagonal, built
+        on first use (its tail has (2k)^2 entries)."""
+        ring, k = self.ring, self.block.size
+        tail = [[ring.zero()] * (2 * k) for _ in range(2 * k)]
+        for base, blk in ((0, self.block), (k, self.block_inverse)):
+            for j, col in blk.cols.items():
+                for i, v in col.items():
+                    tail[base + i][base + j] = v
+        prefix = [dense.identity(ring, self.offset)] if self.offset else []
+        return BlockDiagonal(ring, prefix, tail)
 
 
 def swindle_factorization(block_u, ring: RingDescriptor, offset: int = 0,
@@ -220,55 +254,42 @@ def swindle_factorization(block_u, ring: RingDescriptor, offset: int = 0,
     """Factor diag(U, U^-1, U, U^-1, ...) into at most five infinite
     structured factors: the block operations that turn every disjoint pair
     diag(U, U^-1) into the identity, applied simultaneously on all pairs
-    (their supports are disjoint), inverted and read backwards."""
+    (their supports are disjoint), inverted and read backwards.
+
+    U may be a ring element, a dense block or a SparseBlock; U^-1 is given
+    in the same form, or omitted for a dense U and computed by the
+    adjugate.  Only nonzero entries are visited, so the work and the word
+    are linear in the number of nonzero entries."""
     if isinstance(block_u, RingElement):
         block_u = [[block_u]]
-    k = len(block_u)
     if u_inverse is None:
         u_inverse = dense.adjugate_inverse(block_u)
+    u, u_inv = (b if isinstance(b, SparseBlock) else SparseBlock.from_dense(b)
+                for b in (block_u, u_inverse))
+    k = u.size
     period = 2 * k
 
-    def corner_families(values, col_base, row_base):
-        fams = []
-        for j in range(k):
-            entries = tuple((row_base + i - (col_base + j), values[i][j])
-                            for i in range(k) if not values[i][j].is_zero())
-            if entries:
-                fams.append(ColumnFamily(offset + col_base + j, period, entries))
-        return fams
+    def corner(blk, col_base, row_base, negate=False):
+        """id + blk placed at (row_base, col_base) of every pair."""
+        return Elementary(ring, {}, [
+            ColumnFamily(offset + col_base + j, period,
+                         tuple((row_base + i - (col_base + j), -v if negate else v)
+                               for i, v in blk.cols[j].items()))
+            for j in sorted(blk.cols)])
 
-    factors = []
-    # [[Id, U], [0, Id]] on every pair
-    fams = corner_families(block_u, col_base=k, row_base=0)
-    if fams:
-        factors.append(CertFactor(invert(Elementary(ring, {}, fams)), tag))
-    # sign diagonal diag(-Id_k, Id_k) on every pair
     minus_one, one = -ring.one(), ring.one()
-    sign_tail = [[(minus_one if i == j and i < k else
-                   one if i == j else ring.zero())
-                  for j in range(period)] for i in range(period)]
-    prefix = [dense.identity(ring, offset)] if offset else []
-    factors.append(CertFactor(invert(BlockDiagonal(ring, prefix, sign_tail)), tag))
-    # pair swap on every pair
-    images = tuple(list(range(k, period)) + list(range(k)))
-    factors.append(CertFactor(invert(Permutation(
-        ring, BlockPeriodicPermutation(offset, period, images))), tag))
-    # [[Id, U^-1], [0, Id]] on every pair
-    fams = corner_families(u_inverse, col_base=k, row_base=0)
-    if fams:
-        factors.append(CertFactor(invert(Elementary(ring, {}, fams)), tag))
-    # [[Id, 0], [-U, Id]] on every pair
-    fams = corner_families(dense.mat_neg(block_u), col_base=0, row_base=k)
-    if fams:
-        factors.append(CertFactor(invert(Elementary(ring, {}, fams)), tag))
-
-    tail = [[ring.zero()] * period for _ in range(period)]
-    for i in range(k):
-        for j in range(k):
-            tail[i][j] = block_u[i][j]
-            tail[k + i][k + j] = u_inverse[i][j]
-    target = BlockDiagonal(ring, prefix, tail)
-    return SwindleWord(ring, tuple(factors), target)
+    word = [
+        corner(u, col_base=k, row_base=0),                  # [[Id, U], [0, Id]]
+        ScalarDiagonal(ring, (one,) * offset,               # diag(-Id_k, Id_k)
+                       (minus_one,) * k + (one,) * k),
+        Permutation(ring, BlockPeriodicPermutation(         # pair swap
+            offset, period, tuple(range(k, period)) + tuple(range(k)))),
+        corner(u_inv, col_base=k, row_base=0),              # [[Id, U^-1], [0, Id]]
+        corner(u, col_base=0, row_base=k, negate=True),     # [[Id, 0], [-U, Id]]
+    ]
+    factors = tuple(CertFactor(invert(m), tag) for m in word
+                    if not isinstance(m, Elementary) or m.families)
+    return SwindleWord(ring, factors, u, u_inv, offset)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +303,10 @@ def _as_blocks(m: ColFinMatrix):
         return [], None
     if isinstance(m, ScalarDiagonal):
         prefix = [[[d]] for d in m.prefix]
-        tail = None if m.tail.is_one() else [[m.tail]]
+        cycle = m.tail_cycle
+        tail = None if m.tail_is_one() else \
+            [[d if i == j else ring.zero() for j, d in enumerate(cycle)]
+             for i in range(len(cycle))]
         return prefix, tail
     if isinstance(m, FinitePerturbation):
         return ([list(map(list, m.corner))] if m.size else []), None
@@ -295,7 +319,7 @@ def _as_blocks(m: ColFinMatrix):
     raise UnsupportedMatrixError(
         f"form {m.form!r} is not in the supported lifting classes "
         "(finite perturbation, unit scalar diagonal, invertible block "
-        "diagonal, or a product of these)")
+        "diagonal, elementary, permutation, or a product of these)")
 
 
 @dataclass
@@ -428,6 +452,8 @@ class LiftCertificate:
     lift: InvertibleColFin
     factor_log: tuple            # provenance tag per factor
     verified_window: int
+    # the self-check run when the lift was built (None when deserialized)
+    report: Optional["VerificationReport"] = field(default=None, compare=False)
 
     @property
     def factors(self):
@@ -447,8 +473,7 @@ def _is_sign_diagonal(m: ColFinMatrix) -> bool:
     if isinstance(m, Identity):
         return True
     if isinstance(m, ScalarDiagonal):
-        return all(d == one or d == minus for d in m.prefix) \
-            and (m.tail == one or m.tail == minus)
+        return all(d == one or d == minus for d in m.prefix + m.tail_cycle)
     if isinstance(m, BlockDiagonal):
         blocks = list(m.prefix_blocks)
         if m.tail_block is not None:
@@ -507,7 +532,7 @@ def _lift_factor(h: RingHom, m: ColFinMatrix) -> ColFinMatrix:
         return Identity(src)
     if isinstance(m, ScalarDiagonal):
         return ScalarDiagonal(src, tuple(lift_sign(d) for d in m.prefix),
-                              lift_sign(m.tail))
+                              tuple(lift_sign(d) for d in m.tail_cycle))
     if isinstance(m, BlockDiagonal):
         zero_s = src.zero()
 
@@ -535,31 +560,38 @@ def gl_lift(h: RingHom, p: InvertibleColFin, requested_window: int = 64) -> Lift
     into a finite corner handled exactly by two interleaved alternating
     diagonals (swindle).  The corner horizon is at least twice the requested
     window plus the factor bandwidth, so the certificate re-verifies at
-    double its stated window.
+    double its stated window.  Elementary and permutation inputs are
+    liftable generators and become one-factor words ("generator"); products
+    are lifted factor by factor.  The returned certificate carries the
+    report of its own check on `requested_window`.
     """
     target = h.target
     m = p.matrix
     if m.ring != target:
         raise UnsupportedMatrixError(
             f"input lives over {m.ring}, hom target is {target}")
+    factors = _word_factors(m, requested_window)
+    return _assemble_certificate(h, p, factors, requested_window)
 
+
+def _word_factors(m: ColFinMatrix, requested_window: int) -> list:
+    """The target-side factor word of one supported input; products are
+    lifted factor by factor and their words concatenated."""
     if isinstance(m, ProductMatrix):
-        parts = [gl_lift(h, invert(f), requested_window) for f in m.factors]
-        factors = [cf for part in parts for cf in part._cert_factors]
-        return _assemble_certificate(h, p, factors, requested_window)
-
+        return [cf for f in m.factors for cf in _word_factors(f, requested_window)]
+    if isinstance(m, (Elementary, Permutation)):
+        return [CertFactor(invert(m), "generator")]
+    target = m.ring
     prefix, tail = _as_blocks(m)
-    _check_invertible_blocks(prefix, tail, m.ring)
+    _check_invertible_blocks(prefix, tail, target)
     pairs, prefix_end, periodic = _pair_blocks(prefix, tail, target)
 
     pair_words = [_reduce_pair(pr, target) for pr in pairs]
     periodic_word = _reduce_pair(periodic, target) if periodic else None
 
-    cert_factors = []
-    cert_factors += _stage_factors(target, pair_words, periodic_word, prefix_end)
-    cert_factors += _corner_factors(target, pair_words, periodic_word,
-                                    prefix_end, requested_window)
-    return _assemble_certificate(h, p, cert_factors, requested_window)
+    return (_stage_factors(target, pair_words, periodic_word, prefix_end)
+            + _corner_factors(target, pair_words, periodic_word,
+                              prefix_end, requested_window))
 
 
 def _check_invertible_blocks(prefix, tail, ring):
@@ -567,6 +599,8 @@ def _check_invertible_blocks(prefix, tail, ring):
         name = "tail" if tail is not None and idx == len(prefix) else idx
         try:
             dense.adjugate_inverse(blk, block_index=name)
+        except dense.DenseSizeError as exc:
+            raise UnsupportedMatrixError(str(exc)) from exc
         except dense.NonInvertibleError as exc:
             raise UnsupportedMatrixError(
                 f"block {name} is not invertible over {ring}: {exc}") from exc
@@ -661,21 +695,19 @@ def _corner_factors(ring, pair_words, periodic_word, prefix_end, requested_windo
                              periodic_word.v_block_inv))
             start += periodic_word.size
 
-    nontrivial = [(s, b, binv) for s, b, binv in segments
-                  if not matrices._is_identity_block(b)]
-    if not nontrivial:
+    if all(matrices._is_identity_block(b) for _, b, _ in segments):
         return []
 
-    zero, one = ring.zero(), ring.one()
-    corner = [[one if i == j else zero for j in range(horizon)]
-              for i in range(horizon)]
-    corner_inv = [[one if i == j else zero for j in range(horizon)]
-                  for i in range(horizon)]
+    # the nonzero entries of diag(1, U_1, 1, U_2, ...) and of its inverse,
+    # column by column; the segments tile [0, horizon)
+    cols, cols_inv = {}, {}
     for s, blk, binv in segments:
-        for i in range(len(blk)):
-            for j in range(len(blk)):
-                corner[s + i][s + j] = blk[i][j]
-                corner_inv[s + i][s + j] = binv[i][j]
+        for out, b in ((cols, blk), (cols_inv, binv)):
+            for j in range(len(b)):
+                out[s + j] = {s + i: row[j] for i, row in enumerate(b)
+                              if not row[j].is_zero()}
+    corner = SparseBlock(horizon, cols)
+    corner_inv = SparseBlock(horizon, cols_inv)
 
     first = swindle_factorization(corner, ring, offset=0, u_inverse=corner_inv)
     second = swindle_factorization(corner, ring, offset=horizon,
@@ -699,36 +731,27 @@ def _lift_invertible(h: RingHom, inv: InvertibleColFin) -> InvertibleColFin:
 
 def _assemble_certificate(h, p, cert_factors, requested_window) -> LiftCertificate:
     source = h.source
-    cert_factors = list(cert_factors)
-    if not cert_factors:
-        lift = InvertibleColFin(Identity(source), Identity(source))
-        cert = LiftCertificate(h, p.matrix, lift, (), requested_window)
-        cert._cert_factors = []
-        _self_check(cert, requested_window)
-        return cert
     lifted = []
     for cf in cert_factors:
         if _liftable_class(cf.inv.matrix) is None:
             raise LiftError("internal: emitted factor outside the liftable classes")
         lifted.append(CertFactor(_lift_invertible(h, cf.inv), cf.tag))
-    lift_matrix = ProductMatrix(source, [cf.inv.matrix for cf in lifted])
-    lift_inverse = ProductMatrix(source,
-                                 [cf.inv.inverse for cf in reversed(lifted)])
-    cert = LiftCertificate(h, p.matrix,
-                           InvertibleColFin(lift_matrix, lift_inverse),
-                           tuple(cf.tag for cf in lifted), requested_window)
-    cert._cert_factors = cert_factors
-    _self_check(cert, requested_window)
-    return cert
-
-
-def _self_check(cert: LiftCertificate, window_size: int):
-    report = verify_certificate(cert, window_size)
-    if not report.passed:
+    if lifted:
+        lift = InvertibleColFin(
+            ProductMatrix(source, [cf.inv.matrix for cf in lifted]),
+            ProductMatrix(source, [cf.inv.inverse for cf in reversed(lifted)]))
+    else:
+        lift = InvertibleColFin(Identity(source), Identity(source))
+    cert = LiftCertificate(h, p.matrix, lift, tuple(cf.tag for cf in lifted),
+                           requested_window)
+    cert._cert_factors = list(cert_factors)
+    cert.report = verify_certificate(cert, requested_window)
+    if not cert.report.passed:
         raise LiftVerificationError(
             "constructed lift failed verification: "
-            + "; ".join(c.name + ": " + c.detail for c in report.checks
+            + "; ".join(c.name + ": " + c.detail for c in cert.report.checks
                         if not c.passed))
+    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -778,7 +801,8 @@ def _first_window_mismatch(a: ColFinMatrix, b: ColFinMatrix, n: int,
     cols_b = _window_columns(b, n, threads)
     for j in range(n):
         ca, cb = cols_a[j], cols_b[j]
-        for i in range(n):
+        # rows absent from both sparse columns hold zero on both sides
+        for i in sorted(i for i in ca.keys() | cb.keys() if i < n):
             va = ca.get(i, zero_a)
             vb = cb.get(i, zero_b)
             if va != vb:

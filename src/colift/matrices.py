@@ -184,18 +184,47 @@ class Identity(ColFinMatrix):
         return j + 1
 
 
+def _minimal_cycle(cycle: tuple) -> tuple:
+    """The shortest prefix of `cycle` whose repetition is `cycle`; entries
+    share one ring, so comparing payloads compares the elements."""
+    n = len(cycle)
+    keys = [d.payload for d in cycle]
+    for p in range(1, n):
+        if n % p == 0 and keys[p:] == keys[:-p]:
+            return cycle[:p]
+    return cycle
+
+
 class ScalarDiagonal(ColFinMatrix):
-    """diag(prefix..., tail, tail, ...)."""
+    """diag(prefix..., c_0, ..., c_{p-1}, c_0, ..., c_{p-1}, ...).
+
+    `tail` is one element (period 1) or a sequence of elements repeated
+    forever; the stored cycle is reduced to its minimal period.  The
+    `tail` attribute gives back the single element when the period is 1
+    and the cycle tuple otherwise.
+    """
 
     form = "scalar_diagonal"
 
-    def __init__(self, ring, prefix, tail: RingElement):
+    def __init__(self, ring, prefix, tail):
         self.ring = ring
         self.prefix = tuple(prefix)
-        self.tail = tail
+        cycle = (tail,) if isinstance(tail, RingElement) else tuple(tail)
+        if not cycle:
+            raise MatrixFormError("scalar diagonal tail cycle is empty")
+        self.tail_cycle = _minimal_cycle(cycle)
+        self.period = len(self.tail_cycle)
+
+    @property
+    def tail(self):
+        return self.tail_cycle[0] if self.period == 1 else self.tail_cycle
+
+    def tail_is_one(self) -> bool:
+        return self.period == 1 and self.tail_cycle[0].is_one()
 
     def diagonal_entry(self, j: int) -> RingElement:
-        return self.prefix[j] if j < len(self.prefix) else self.tail
+        n = len(self.prefix)
+        return self.prefix[j] if j < n else self.tail_cycle[(j - n) % self.period]
 
     def column(self, j):
         d = self.diagonal_entry(j)
@@ -203,7 +232,7 @@ class ScalarDiagonal(ColFinMatrix):
 
     def map_entries(self, h):
         return ScalarDiagonal(h.target, tuple(h.apply(d) for d in self.prefix),
-                              h.apply(self.tail))
+                              tuple(h.apply(d) for d in self.tail_cycle))
 
     def support_bound(self, j):
         return j + 1
@@ -305,7 +334,11 @@ class ColumnFamily:
 
 class Elementary(ColFinMatrix):
     """id + M with the columns of M indexed by a set J and supported in rows
-    outside J; always invertible with inverse id - M."""
+    outside J; always invertible with inverse id - M.
+
+    Families are indexed by period, then by start % period, so a column
+    looks up one bucket per distinct period instead of scanning them all.
+    """
 
     form = "elementary"
 
@@ -321,9 +354,18 @@ class Elementary(ColFinMatrix):
         for fam in families:
             entries = tuple((off, v) for off, v in fam.entries if not v.is_zero())
             if entries:
+                if fam.period < 1:
+                    raise MatrixFormError("column family period must be positive")
                 fams.append(ColumnFamily(fam.start, fam.period, entries))
         self.families = tuple(fams)
-        self._validate()
+        buckets = {}          # period -> {start % period: [families]}
+        for fam in self.families:
+            buckets.setdefault(fam.period, {}).setdefault(
+                fam.start % fam.period, []).append(fam)
+        self._validate(buckets)
+        # after validation every bucket holds exactly one family
+        self._buckets = tuple((p, {r: fs[0] for r, fs in by_res.items()})
+                              for p, by_res in buckets.items())
 
     def index_set(self):
         """J as an index-set value: finite when there are no families, else
@@ -345,24 +387,42 @@ class Elementary(ColFinMatrix):
         return EventuallyPeriodicIndexSet(frozenset(below), offset, period,
                                           frozenset(residues))
 
-    def _in_column_set(self, idx: int) -> bool:
-        if idx in self.head_cols:
-            return True
-        return any(f.covers(idx) for f in self.families)
+    def _validate(self, buckets):
+        """Rows of every column avoid the column set J.  Linear in the
+        families that share a period; only distinct periods are compared
+        pairwise (two progressions meet iff their starts agree modulo the
+        gcd of their periods)."""
+        head = self.head_cols
+        # per period and residue, the largest head column: "some head column
+        # j >= x with j = x mod p" becomes one lookup
+        head_top = {}
+        for p in buckets:
+            top = head_top[p] = {}
+            for j in head:
+                r = j % p
+                if r not in top or top[r] < j:
+                    top[r] = j
+        # per period p, for every other period q: (gcd(p, q), start residues
+        # of the q-families modulo that gcd)
+        cross = {p: [(g, {f.start % g for fs in buckets[q].values() for f in fs})
+                     for q in buckets if q != p
+                     for g in (math.gcd(p, q),)]
+                 for p in buckets}
 
-    def _validate(self):
-        for j, col in self.head_cols.items():
+        for j, col in head.items():
             for i in col:
-                if i < 0 or i == j or self._in_column_set(i):
+                if i < 0 or i == j or i in head or any(
+                        f.start <= i for p, by_res in buckets.items()
+                        for f in by_res.get(i % p, ())):
                     raise MatrixFormError(
                         f"elementary row {i} of column {j} lies inside the column set")
         for fam in self.families:
-            for f2 in self.families:
-                if fam is not f2 and \
-                        (fam.start - f2.start) % math.gcd(fam.period, f2.period) == 0:
-                    raise MatrixFormError("overlapping column families")
-            if fam.start in self.head_cols or any(
-                    fam.covers(j) for j in self.head_cols):
+            p = fam.period
+            top = head_top[p]
+            if len(buckets[p][fam.start % p]) > 1 or any(
+                    fam.start % g in starts for g, starts in cross[p]):
+                raise MatrixFormError("overlapping column families")
+            if top.get(fam.start % p, fam.start - 1) >= fam.start:
                 raise MatrixFormError("family columns meet a head column")
             for off, _ in fam.entries:
                 if off == 0:
@@ -371,23 +431,22 @@ class Elementary(ColFinMatrix):
                     raise MatrixFormError("elementary row index below zero")
                 # rows start+off + t*period must avoid every column progression
                 row0 = fam.start + off
-                for f2 in self.families:
-                    g = math.gcd(fam.period, f2.period)
-                    if (row0 - f2.start) % g == 0:
-                        raise MatrixFormError(
-                            "elementary family rows meet a column progression")
-                for j in self.head_cols:
-                    if j >= row0 and (j - row0) % fam.period == 0:
-                        raise MatrixFormError(
-                            "elementary family rows meet a head column")
+                if row0 % p in buckets[p] or any(
+                        row0 % g in starts for g, starts in cross[p]):
+                    raise MatrixFormError(
+                        "elementary family rows meet a column progression")
+                if top.get(row0 % p, row0 - 1) >= row0:
+                    raise MatrixFormError(
+                        "elementary family rows meet a head column")
 
     def column(self, j):
         out = {j: self.ring.one()}
         col = self.head_cols.get(j)
         if col:
             out.update(col)
-        for fam in self.families:
-            if fam.covers(j):
+        for period, by_res in self._buckets:
+            fam = by_res.get(j % period)
+            if fam is not None and j >= fam.start:
                 for off, v in fam.entries:
                     out[j + off] = v
         return out
@@ -540,7 +599,10 @@ def multiply(a: ColFinMatrix, b: ColFinMatrix) -> ColFinMatrix:
     if isinstance(a, ScalarDiagonal) and isinstance(b, ScalarDiagonal):
         k = max(len(a.prefix), len(b.prefix))
         prefix = tuple(a.diagonal_entry(i) * b.diagonal_entry(i) for i in range(k))
-        return _normalize(ScalarDiagonal(a.ring, prefix, a.tail * b.tail))
+        period = math.lcm(a.period, b.period)
+        tail = tuple(a.diagonal_entry(i) * b.diagonal_entry(i)
+                     for i in range(k, k + period))
+        return _normalize(ScalarDiagonal(a.ring, prefix, tail))
     if isinstance(a, FinitePerturbation) and isinstance(b, FinitePerturbation):
         n = max(a.size, b.size)
         ca = _pad_corner(a, n)
@@ -568,7 +630,7 @@ def _diag_profile(m: ColFinMatrix):
     if isinstance(m, Identity):
         return (0, None)
     if isinstance(m, ScalarDiagonal):
-        return (len(m.prefix), None) if m.tail.is_one() else (len(m.prefix), 1)
+        return (len(m.prefix), None if m.tail_is_one() else m.period)
     if isinstance(m, FinitePerturbation):
         return (m.size, None)
     if isinstance(m, BlockDiagonal):
@@ -630,7 +692,7 @@ def _is_identity_block(blk) -> bool:
 
 def _normalize(m: ColFinMatrix) -> ColFinMatrix:
     if isinstance(m, ScalarDiagonal):
-        if m.tail.is_one() and all(d.is_one() for d in m.prefix):
+        if m.tail_is_one() and all(d.is_one() for d in m.prefix):
             return Identity(m.ring)
         return m
     if isinstance(m, FinitePerturbation):
@@ -715,11 +777,14 @@ def invert(m: ColFinMatrix) -> InvertibleColFin:
                     f"diagonal entry {rings.render(d)} at index {idx} is not a unit",
                     det=d, block_index=idx)
             inv_prefix.append(v)
-        tail_inv = rings.is_unit(m.tail)
-        if tail_inv is None:
-            raise NonInvertibleError(
-                f"diagonal tail {rings.render(m.tail)} is not a unit",
-                det=m.tail, block_index="tail")
+        tail_inv = []
+        for d in m.tail_cycle:
+            v = rings.is_unit(d)
+            if v is None:
+                raise NonInvertibleError(
+                    f"diagonal tail {rings.render(d)} is not a unit",
+                    det=d, block_index="tail")
+            tail_inv.append(v)
         return InvertibleColFin(m, ScalarDiagonal(ring, inv_prefix, tail_inv))
     if isinstance(m, FinitePerturbation):
         inv = _invert_block(m.corner, 0)
@@ -786,8 +851,9 @@ def matrix_to_json(m: ColFinMatrix) -> dict:
     if isinstance(m, Identity):
         return {"form": "identity"}
     if isinstance(m, ScalarDiagonal):
+        tail = [r(d) for d in m.tail_cycle]
         return {"form": "scalar_diagonal", "prefix": [r(d) for d in m.prefix],
-                "tail": r(m.tail)}
+                "tail": tail[0] if m.period == 1 else tail}
     if isinstance(m, FinitePerturbation):
         return {"form": "finite_perturbation",
                 "corner": [[r(v) for v in row] for row in m.corner]}
@@ -825,8 +891,10 @@ def matrix_from_json(ring: RingDescriptor, data: dict) -> ColFinMatrix:
     if form == "identity":
         return Identity(ring)
     if form == "scalar_diagonal":
+        tail = data["tail"]
         return ScalarDiagonal(ring, [parse(s) for s in data.get("prefix", [])],
-                              parse(data["tail"]))
+                              [parse(s) for s in tail] if isinstance(tail, list)
+                              else parse(tail))
     if form == "finite_perturbation":
         return FinitePerturbation(ring, [[parse(v) for v in row]
                                          for row in data["corner"]])

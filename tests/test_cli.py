@@ -1,10 +1,13 @@
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
-from colift import cli, rings, skolem
+import colift
+from colift import cli, lifting, rings, skolem
 
 
 def run_cli(args, capsys):
@@ -55,6 +58,95 @@ def test_lift_non_unit_diagonal_exits_3(tmp_path, capsys):
                                "--matrix", str(path), "--window", "16"], capsys)
     assert code == 3
     assert "u + 1" in stderr
+
+
+def _write(path, ring, matrix):
+    path.write_text(json.dumps({"ring": ring, "matrix": matrix}),
+                    encoding="utf-8")
+    return path
+
+
+def test_lift_block_over_the_dense_cap_exits_3(tmp_path, capsys):
+    n = 16              # unit upper bidiagonal, invertible over Z/101
+    corner = [["1" if i == j else "1" if j == i + 1 else "0"
+               for j in range(n)] for i in range(n)]
+    path = _write(tmp_path / "big.json", "Z/101",
+                  {"form": "finite_perturbation", "corner": corner})
+    code, _, stderr = run_cli(["lift", "--hom", "z_to_z101",
+                               "--matrix", str(path), "--window", "16"], capsys)
+    assert code == 3
+    assert "block 0" in stderr and "16x16" in stderr
+
+
+def _lift_and_verify(tmp_path, capsys, hom, path):
+    cert = tmp_path / "cert.json"
+    code, stdout, _ = run_cli(["lift", "--hom", hom, "--matrix", str(path),
+                               "--window", "16", "--out", str(cert)], capsys)
+    assert code == 0
+    assert "PASS" in stdout
+    code, stdout, _ = run_cli(["verify", "--certificate", str(cert),
+                               "--window", "32", "--format", "json"], capsys)
+    assert code == 0
+    report = json.loads(stdout)
+    assert report["passed"] and report["content_hash_ok"]
+    return json.loads(cert.read_text(encoding="utf-8"))
+
+
+LAURENT = {"kind": "laurent", "var": "u", "coeff": "Z"}
+ELEMENTARY = {"form": "elementary", "cols": {"0": {"1": "u^-1 + 2"}},
+              "families": [{"start": 3, "period": 2, "entries": {"-1": "u"}}]}
+PERMUTATION = {"form": "permutation", "offset": 1, "period": 3,
+               "residues": [2, 0, 1]}
+
+
+def test_lift_elementary_input(tmp_path, capsys):
+    path = _write(tmp_path / "e.json", LAURENT, ELEMENTARY)
+    cert = _lift_and_verify(tmp_path, capsys, "zxy_to_laurent", path)
+    assert [f["tag"] for f in cert["factors"]] == ["generator"]
+    assert cert["factors"][0]["matrix"]["cols"] == {"0": {"1": "y + 2"}}
+
+
+def test_lift_permutation_input(tmp_path, capsys):
+    path = _write(tmp_path / "p.json", "Z/5", PERMUTATION)
+    cert = _lift_and_verify(tmp_path, capsys, "z_to_z5", path)
+    assert cert["factors"][0]["matrix"] == PERMUTATION
+
+
+def test_lift_mixed_product_input(tmp_path, capsys):
+    path = _write(tmp_path / "m.json", LAURENT, {"form": "product", "factors": [
+        PERMUTATION, {"form": "scalar_diagonal", "prefix": [], "tail": "u"},
+        ELEMENTARY]})
+    cert = _lift_and_verify(tmp_path, capsys, "zxy_to_laurent", path)
+    tags = [f["tag"] for f in cert["factors"]]
+    assert tags[0] == tags[-1] == "generator"
+    assert "swindle" in tags
+
+
+def test_lift_runs_one_verification(tmp_path, udiag_file, capsys, monkeypatch):
+    calls = []
+    real = lifting.verify_certificate
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lifting, "verify_certificate", counting)
+    monkeypatch.setattr(cli, "verify_certificate", counting)
+    code, stdout, _ = run_cli(["lift", "--hom", "zxy_to_laurent",
+                               "--matrix", str(udiag_file), "--window", "16"],
+                              capsys)
+    assert code == 0
+    assert "verification on window 16: PASS" in stdout
+    assert calls == [16]
+
+
+def test_verify_parent_certificate_cli(capsys):
+    """Certificates with dense block_diagonal sign factors still verify."""
+    path = pathlib.Path(__file__).parent / "data" / "flagship_w16_parent.json"
+    code, stdout, _ = run_cli(["verify", "--certificate", str(path),
+                               "--window", "16"], capsys)
+    assert code == 0
+    assert "hash matches" in stdout
 
 
 def test_lift_unknown_hom_exits_2(udiag_file, capsys):
@@ -183,9 +275,14 @@ def test_demo_corrupted_registry_exits_2(tmp_path, capsys):
 
 
 def test_console_entry_point():
+    # the child imports the same colift as this process, installed or not
+    src = str(pathlib.Path(colift.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "colift.cli", "cohomology", "--system",
          "standard:P1", "--cond", "G", "--twist", "-3", "--horizon", "8"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0
     assert "n' = 3" in proc.stdout

@@ -1,5 +1,6 @@
 import copy
 import json
+import pathlib
 import random
 
 import pytest
@@ -226,6 +227,30 @@ def test_swindle_soundness_window(k):
     assert window(sw.product(), n) == window(sw.target, n)
 
 
+@pytest.mark.parametrize("k", [1, 3])
+def test_swindle_sparse_block_gives_the_dense_word(k):
+    rng = random.Random(10 + k)
+    u = _random_invertible(Z7, k, rng)
+    u_inv = dense.adjugate_inverse(u)
+    from_dense = swindle_factorization(u, Z7, offset=3, u_inverse=u_inv)
+    from_sparse = swindle_factorization(
+        lifting.SparseBlock.from_dense(u), Z7, offset=3,
+        u_inverse=lifting.SparseBlock.from_dense(u_inv))
+    assert [matrices.matrix_to_json(f.inv.matrix) for f in from_dense.factors] \
+        == [matrices.matrix_to_json(f.inv.matrix) for f in from_sparse.factors]
+    n = 3 + 8 * k
+    assert window(from_sparse.product(), n) == window(from_sparse.target, n)
+
+
+def test_swindle_sign_factor_is_a_periodic_scalar_diagonal():
+    sw = swindle_factorization(dense.identity(Z, 3), Z, offset=2)
+    signs = [f.inv.matrix for f in sw.factors
+             if isinstance(f.inv.matrix, ScalarDiagonal)]
+    assert len(signs) == 1
+    assert [v.payload for v in signs[0].prefix] == [1, 1]
+    assert [v.payload for v in signs[0].tail] == [-1, -1, -1, 1, 1, 1]
+
+
 def test_swindle_factors_are_liftable_classes():
     u = LAU.variable("u")
     sw = swindle_factorization(u, LAU)
@@ -311,10 +336,41 @@ def test_lift_random_block_diagonals_mod5():
         assert verify_certificate(cert, 32).passed
 
 
+class _Opaque(matrices.ColFinMatrix):
+    """A column-finite form outside every lifting class."""
+
+    form = "opaque"
+
+    def __init__(self, ring):
+        self.ring = ring
+
+    def column(self, j):
+        return {j: self.ring.one()}
+
+
 def test_lift_rejects_unsupported_form():
-    e = Elementary(LAU, {0: {1: LAU.variable("u")}})
+    m = _Opaque(LAU)
     with pytest.raises(UnsupportedMatrixError):
-        gl_lift(FLAGSHIP, invert(e), 16)
+        gl_lift(FLAGSHIP, matrices.InvertibleColFin(m, m), 16)
+
+
+def test_lift_elementary_generator_is_a_one_factor_word():
+    e = Elementary(LAU, {0: {1: LAU.variable("u")}})
+    cert = gl_lift(FLAGSHIP, invert(e), 16)
+    assert cert.factor_log == ("generator",)
+    assert cert.report.passed
+    assert verify_certificate(cert, 64).passed
+
+
+def test_lift_mixed_product_factor_by_factor():
+    u = LAU.variable("u")
+    e = Elementary(LAU, {0: {1: u}})
+    p = Permutation(LAU, matrices.FinitePermutation(((0, 2), (2, 0))))
+    d = ScalarDiagonal(LAU, (), u)
+    cert = gl_lift(FLAGSHIP, invert(ProductMatrix(LAU, [e, d, p])), 16)
+    assert cert.factor_log[0] == "generator"
+    assert cert.factor_log[-1] == "generator"
+    assert verify_certificate(cert, 32).passed
 
 
 def test_lift_rejects_non_unit_diagonal():
@@ -429,6 +485,41 @@ def test_finite_perturbation_certificates_are_exact_everywhere():
     assert verify_certificate(cert, 200).passed
 
 
+def test_lift_attaches_its_self_check(flagship_cert):
+    assert flagship_cert.report.passed
+    assert flagship_cert.report.window == 64
+
+
+def test_product_lift_verifies_once(monkeypatch):
+    calls = []
+    real = lifting.verify_certificate
+
+    def counting(cert, n, threads=1):
+        calls.append(n)
+        return real(cert, n, threads)
+
+    monkeypatch.setattr(lifting, "verify_certificate", counting)
+    u = LAU.variable("u")
+    d = ScalarDiagonal(LAU, (), u)
+    gl_lift(FLAGSHIP, invert(ProductMatrix(LAU, [d, d])), 16)
+    assert calls == [16]
+
+
+def test_sign_factors_stay_linear_in_the_window():
+    """Each swindle sign factor of a window-128 flagship certificate has
+    O(horizon) JSON entries (horizon = 2 * 128 + 16), not O(horizon^2)."""
+    u = LAU.variable("u")
+    cert = gl_lift(FLAGSHIP, invert(ScalarDiagonal(LAU, (), u)), 128)
+    horizon = 2 * 128 + 16
+    signs = [f["matrix"] for f in certificate_to_json(cert)["factors"]
+             if f["tag"] == "swindle"
+             and f["matrix"]["form"] in ("scalar_diagonal", "block_diagonal")]
+    assert len(signs) == 2
+    for m in signs:
+        assert m["form"] == "scalar_diagonal"
+        assert len(m["prefix"]) + len(m["tail"]) <= 3 * horizon
+
+
 def test_verify_with_thread_cap_matches_sequential(flagship_cert):
     seq = verify_certificate(flagship_cert, 32, threads=1)
     par = verify_certificate(flagship_cert, 32, threads=4)
@@ -441,3 +532,16 @@ def test_verify_certificate_from_json_identity():
     data = certificate_to_json(cert)
     back = certificate_from_json(data, REG)
     assert verify_certificate(back, 16).passed
+
+
+def test_parent_certificate_with_dense_sign_blocks_still_verifies():
+    """A window-16 flagship certificate written before sign diagonals were
+    stored as periodic scalar diagonals: its two sign factors are dense
+    block_diagonal forms, which stay accepted."""
+    path = pathlib.Path(__file__).parent / "data" / "flagship_w16_parent.json"
+    data = json.loads(path.read_text(encoding="utf-8"))
+    forms = [f["matrix"]["form"] for f in data["factors"]]
+    assert forms.count("block_diagonal") == 2
+    assert data["content_hash"] == lifting._content_hash(data)
+    cert = certificate_from_json(data, REG)
+    assert verify_certificate(cert, 16).passed

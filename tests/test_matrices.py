@@ -1,6 +1,9 @@
+import json
+import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from colift import dense, matrices, rings
 from colift.dense import NonInvertibleError
@@ -387,3 +390,180 @@ def test_matrix_json_spec_examples():
         {"form": "identity"},
         {"form": "scalar_diagonal", "prefix": [], "tail": "u"}]})
     assert matrices.column(p, 2) == {2: LAU.variable("u")}
+
+
+# ---------------------------------------------------------------------------
+# periodic scalar-diagonal tails
+# ---------------------------------------------------------------------------
+
+def test_scalar_diagonal_periodic_tail_columns():
+    d = ScalarDiagonal(Z, ints(Z, [[7]])[0], ints(Z, [[1, -1, 2]])[0])
+    assert [matrices.column(d, j)[j].payload for j in range(8)] \
+        == [7, 1, -1, 2, 1, -1, 2, 1]
+    assert d.period == 3
+
+
+def test_scalar_diagonal_cycle_reduces_to_minimal_period():
+    d = ScalarDiagonal(Z, (), ints(Z, [[-1, 1, -1, 1]])[0])
+    assert d.period == 2
+    single = ScalarDiagonal(Z, (), ints(Z, [[5, 5, 5]])[0])
+    assert single.period == 1 and single.tail == Z.from_int(5)
+
+
+def test_scalar_diagonal_empty_cycle_rejected():
+    with pytest.raises(MatrixFormError):
+        ScalarDiagonal(Z, (), ())
+    with pytest.raises(MatrixFormError):
+        matrix_from_json(Z, {"form": "scalar_diagonal", "prefix": [], "tail": []})
+
+
+def test_invert_periodic_scalar_diagonal():
+    u = LAU.variable("u")
+    uinv = rings.is_unit(u)
+    d = ScalarDiagonal(LAU, (u * u,), (u, -LAU.one(), uinv))
+    inv = invert(d)
+    assert inv.inverse.tail == (uinv, -LAU.one(), u)
+    assert inv.verify_window(12)
+    assert eq_eventually_periodic(multiply(d, inv.inverse), Identity(LAU))
+
+
+def test_invert_periodic_tail_reports_the_non_unit_entry():
+    d = ScalarDiagonal(LAU, (), (LAU.one(), rings.parse_element(LAU, "u + 1")))
+    with pytest.raises(NonInvertibleError) as info:
+        invert(d)
+    assert "u + 1" in str(info.value)
+    assert info.value.block_index == "tail"
+
+
+def test_multiply_periodic_tails_uses_the_lcm_cycle():
+    a = ScalarDiagonal(Z, ints(Z, [[3]])[0], ints(Z, [[1, -1]])[0])
+    b = ScalarDiagonal(Z, (), ints(Z, [[2, 1, 5]])[0])
+    c = multiply(a, b)
+    assert isinstance(c, ScalarDiagonal)
+    assert c.period == 6
+    n = 20
+    wa, wb = as_int_window(a, n), as_int_window(b, n)
+    assert [as_int_window(c, n)[j][j] for j in range(n)] \
+        == [wa[j][j] * wb[j][j] for j in range(n)]
+
+
+def test_multiply_inverse_cycles_normalizes_to_identity():
+    d = ScalarDiagonal(Z, (), ints(Z, [[-1, -1, 1, 1]])[0])
+    assert isinstance(multiply(d, d), Identity)
+
+
+def test_eq_eventually_periodic_with_periodic_tails():
+    a = ScalarDiagonal(Z, (), ints(Z, [[1, -1]])[0])
+    shifted = ScalarDiagonal(Z, ints(Z, [[1]])[0], ints(Z, [[-1, 1]])[0])
+    assert eq_eventually_periodic(a, shifted)
+    block = BlockDiagonal(Z, [], ints(Z, [[1, 0], [0, -1]]))
+    assert eq_eventually_periodic(a, block)
+    other = ScalarDiagonal(Z, (), ints(Z, [[1, -1, 1]])[0])
+    assert not eq_eventually_periodic(a, other)
+
+
+def test_periodic_tail_json_roundtrip_and_map_hom():
+    src = FLAGSHIP.source
+    x = rings.parse_element(src, "x")
+    d = ScalarDiagonal(src, (x,), (src.one(), -src.one(), x * x))
+    data = matrix_to_json(d)
+    assert data == {"form": "scalar_diagonal", "prefix": ["x"],
+                    "tail": ["1", "-1", "x^2"]}
+    back = matrix_from_json(src, json.loads(json.dumps(data)))
+    assert window(back, 10) == window(d, 10)
+    out = map_hom(FLAGSHIP, d)
+    assert out.tail == tuple(rings.parse_element(FLAGSHIP.target, e)
+                             for e in ("1", "-1", "u^2"))
+
+
+def test_single_string_tail_renders_as_before():
+    data = {"form": "scalar_diagonal", "prefix": ["u^-2"], "tail": "u"}
+    d = matrix_from_json(LAU, data)
+    assert d.tail == LAU.variable("u")
+    assert json.dumps(matrix_to_json(d), sort_keys=True) \
+        == '{"form": "scalar_diagonal", "prefix": ["u^-2"], "tail": "u"}'
+
+
+# ---------------------------------------------------------------------------
+# bucketed elementary families against the pairwise definition
+# ---------------------------------------------------------------------------
+
+def _pairwise_validate(head_cols, families):
+    """The plain O(F^2) statement of the elementary conditions: the message
+    of the first violated condition, or None."""
+    def covers(f, j):
+        return j >= f.start and (j - f.start) % f.period == 0
+
+    for j, col in head_cols.items():
+        for i in col:
+            if i < 0 or i == j or i in head_cols or any(
+                    covers(f, i) for f in families):
+                return f"elementary row {i} of column {j} lies inside the column set"
+    for fam in families:
+        for f2 in families:
+            if fam is not f2 and \
+                    (fam.start - f2.start) % math.gcd(fam.period, f2.period) == 0:
+                return "overlapping column families"
+        if fam.start in head_cols or any(covers(fam, j) for j in head_cols):
+            return "family columns meet a head column"
+        for off, _ in fam.entries:
+            if off == 0:
+                return "elementary diagonal perturbation"
+            if fam.start + off < 0:
+                return "elementary row index below zero"
+            row0 = fam.start + off
+            for f2 in families:
+                if (row0 - f2.start) % math.gcd(fam.period, f2.period) == 0:
+                    return "elementary family rows meet a column progression"
+            for j in head_cols:
+                if j >= row0 and (j - row0) % fam.period == 0:
+                    return "elementary family rows meet a head column"
+    return None
+
+
+_heads = st.dictionaries(
+    st.integers(0, 20),
+    st.dictionaries(st.integers(-2, 24), st.integers(-3, 3), max_size=2),
+    max_size=3)
+_families = st.lists(
+    st.tuples(st.integers(0, 12), st.sampled_from([1, 2, 3, 4, 6, 9]),
+              st.dictionaries(st.integers(-7, 7), st.integers(-3, 3),
+                              min_size=1, max_size=2)),
+    max_size=4)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_heads, _families)
+@example({4: {25: 1}}, [(0, 4, {1: 1})])           # family covers a head column
+@example({5: {30: 1}}, [(0, 4, {1: 1})])           # family rows hit a head column
+@example({}, [(0, 2, {1: 1}), (1, 3, {3: 1})])     # rows hit another period
+def test_bucketed_elementary_validation_matches_pairwise(heads, fams):
+    head = {j: {i: Z.from_int(v) for i, v in col.items()}
+            for j, col in heads.items()}
+    families = [ColumnFamily(s, p, tuple((o, Z.from_int(v)) for o, v in e.items()))
+                for s, p, e in fams]
+    kept_head = {j: {i: v for i, v in col.items() if not v.is_zero()}
+                 for j, col in head.items()}
+    kept_head = {j: col for j, col in kept_head.items() if col}
+    kept_fams = [ColumnFamily(f.start, f.period,
+                              tuple((o, v) for o, v in f.entries if not v.is_zero()))
+                 for f in families]
+    kept_fams = [f for f in kept_fams if f.entries]
+    expected = _pairwise_validate(kept_head, kept_fams)
+    try:
+        e = Elementary(Z, head, families)
+    except MatrixFormError as exc:
+        assert str(exc) == expected
+        return
+    assert expected is None
+    for j in range(40):      # columns against a scan over every family
+        col = {j: Z.one(), **kept_head.get(j, {})}
+        for f in kept_fams:
+            if j >= f.start and (j - f.start) % f.period == 0:
+                col.update({j + o: v for o, v in f.entries})
+        assert e.column(j) == col
+
+
+def test_elementary_family_period_must_be_positive():
+    with pytest.raises(MatrixFormError):
+        Elementary(Z, {}, [ColumnFamily(0, 0, ((1, Z.one()),))])
