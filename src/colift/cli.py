@@ -4,7 +4,7 @@ verification, conjugator recovery, and cohomology reports.
 Exit codes: 0 success, 2 parse/input error, 3 unsupported input class,
 4 verification failure.  Reports go to stdout, diagnostics to stderr.
 JSON outputs are deterministic: stable key order and no timestamps inside
-hashed content.  COLIFT_THREADS caps internal verification parallelism.
+hashed content.
 """
 
 from __future__ import annotations
@@ -15,11 +15,11 @@ import os
 import sys
 
 from . import cohomology, lifting, matrices, rings, skolem
-from .dense import DenseSizeError, NonInvertibleError
+from .dense import NonInvertibleError
 from .homs import HomRegistry, SectionError
 from .lifting import (LiftError, UnsupportedMatrixError, certificate_from_json,
                       certificate_to_json, gl_lift, verify_certificate)
-from .matrices import MatrixFormError, invert
+from .matrices import MatrixFormError
 from .rings import ParseError, RingError
 
 EXIT_OK = 0
@@ -30,13 +30,6 @@ EXIT_VERIFY = 4
 _PARSE_ERRORS = (ParseError, RingError, MatrixFormError, KeyError, ValueError,
                  OSError, json.JSONDecodeError, skolem.SkolemError)
 _UNSUPPORTED_ERRORS = (UnsupportedMatrixError, NonInvertibleError, SectionError)
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("COLIFT_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _load_registry(path):
@@ -80,11 +73,7 @@ def _cmd_lift(args) -> int:
         print(f"error: matrix ring {ring} is not the hom target {hom.target}",
               file=sys.stderr)
         return EXIT_PARSE
-    try:
-        inv = invert(matrix)
-    except DenseSizeError as exc:
-        raise UnsupportedMatrixError(str(exc)) from exc
-    cert = gl_lift(hom, inv, args.window)
+    cert = gl_lift(hom, matrix, args.window)
     report = cert.report        # gl_lift's own check on this window
     body = certificate_to_json(cert)
     if args.out:
@@ -105,7 +94,7 @@ def _cmd_verify(args) -> int:
         data = json.load(fh)
     hash_ok = data.get("content_hash") == lifting._content_hash(data)
     cert = certificate_from_json(data, registry)
-    report = verify_certificate(cert, args.window, threads=_threads())
+    report = verify_certificate(cert, args.window)
     if args.format == "json":
         out = report.to_json()
         out["content_hash_ok"] = hash_ok
@@ -201,7 +190,7 @@ def _cmd_demo(args) -> int:
         ring = hom.target
         u = ring.variable("u")
         matrix = matrices.ScalarDiagonal(ring, (), u)
-        cert = gl_lift(hom, invert(matrix), 64)
+        cert = gl_lift(hom, matrix, 64)
         report = cert.report
         if args.out:
             path = os.path.join(args.out, "flagship_certificate.json")
@@ -323,7 +312,6 @@ def main(argv=None) -> int:
     if getattr(args, "window", 8) < 8 and args.command in ("lift", "verify"):
         print("error: window must be >= 8", file=sys.stderr)
         return EXIT_PARSE
-    os.environ.setdefault("COLIFT_THREADS", "1")
     try:
         return args.fn(args)
     except _UNSUPPORTED_ERRORS as exc:

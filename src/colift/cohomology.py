@@ -431,9 +431,6 @@ class QuotientReport:
     horizon: int
     levels: tuple
 
-    def certified_levels(self):
-        return [l.level for l in self.levels if l.certified]
-
     def to_json(self):
         return {"horizon": self.horizon,
                 "levels": [l.to_json() for l in self.levels]}

@@ -2,8 +2,9 @@
 
 Inversion goes through the adjugate, which needs no division until the
 final multiplication by the inverse of the determinant; this is exact over
-every supported ring but is exponential in the block size, so blocks are
-capped at a desk-scale bound.
+every supported ring but is exponential in the block size, so non-diagonal
+blocks are capped at a desk-scale bound.  Diagonal blocks invert entrywise
+at any size.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ class NonInvertibleError(Exception):
 
 
 class DenseSizeError(ValueError):
-    """Dense block larger than MAX_ADJUGATE_SIZE."""
+    """Non-diagonal dense block larger than MAX_ADJUGATE_SIZE."""
 
     def __init__(self, message: str, block_index=None):
         super().__init__(message)
@@ -44,11 +45,6 @@ def identity(ring: RingDescriptor, n: int):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
-def from_ints(ring: RingDescriptor, rows):
-    return [[ring.from_int(v) if isinstance(v, int) else v for v in row]
-            for row in rows]
-
-
 def mat_mul(a, b):
     n, k, m = len(a), len(b), len(b[0])
     zero = a[0][0].ring.zero()
@@ -66,24 +62,8 @@ def mat_mul(a, b):
     return out
 
 
-def mat_vec(a, v):
-    zero = a[0][0].ring.zero()
-    out = []
-    for row in a:
-        acc = zero
-        for x, y in zip(row, v):
-            if not x.is_zero() and not y.is_zero():
-                acc = acc + x * y
-        out.append(acc)
-    return out
-
-
 def mat_eq(a, b) -> bool:
     return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
-
-
-def mat_neg(a):
-    return [[-x for x in row] for row in a]
 
 
 def determinant(a) -> RingElement:
@@ -120,21 +100,32 @@ def _det_rows(a, row_idx, col_idx, memo, ring):
 def adjugate_inverse(a, block_index=None):
     """Exact inverse of a square block whose determinant is a unit.
 
-    Raises NonInvertibleError (carrying the determinant and the offending
-    block index) otherwise.
+    A diagonal block is inverted entrywise, at any size; a 0x0 block is its
+    own inverse.  Raises NonInvertibleError (carrying the determinant or the
+    offending diagonal entry, and the block index) otherwise.
     """
     n = len(a)
-    _check_size(n, block_index)
+    if n == 0:
+        return []
     ring = a[0][0].ring
+    where = "" if block_index is None else f" (block {block_index})"
+    if all(a[i][j].is_zero() for i in range(n) for j in range(n) if i != j):
+        out = [[ring.zero()] * n for _ in range(n)]
+        for i in range(n):
+            v = rings.is_unit(a[i][i])
+            if v is None:
+                raise NonInvertibleError(
+                    f"diagonal entry {rings.render(a[i][i])} at {i} is not a "
+                    f"unit{where}", det=a[i][i], block_index=block_index)
+            out[i][i] = v
+        return out
+    _check_size(n, block_index)
     det = determinant(a)
     det_inv = rings.is_unit(det)
     if det_inv is None:
-        where = "" if block_index is None else f" (block {block_index})"
         raise NonInvertibleError(
             f"determinant {rings.render(det)} is not a unit of {ring}{where}",
             det=det, block_index=block_index)
-    if n == 1:
-        return [[det_inv]]
     memo = {}
     rows = tuple(range(n))
     cols = tuple(range(n))

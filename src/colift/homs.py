@@ -41,9 +41,6 @@ class RingHom:
     def apply(self, x: RingElement) -> RingElement:
         return hom_apply(self, x)
 
-    def section(self, b: RingElement) -> RingElement:
-        return hom_section(self, b)
-
 
 def hom_apply(h: RingHom, x: RingElement) -> RingElement:
     """Substitute generator images and renormalize in the target."""

@@ -35,7 +35,7 @@ from .matrices import (BlockDiagonal, BlockPeriodicPermutation, ColFinMatrix,
                        ColumnFamily, Elementary, FinitePermutation,
                        FinitePerturbation, Identity, InvertibleColFin,
                        Permutation, ProductMatrix, ScalarDiagonal, invert,
-                       multiply, window)
+                       multiply)
 from .rings import BezoutWitness, RingDescriptor, RingElement
 
 
@@ -113,6 +113,18 @@ def _perm(ring, mapping, tag: str) -> WordStep:
 # Unimodular column reduction
 # ---------------------------------------------------------------------------
 
+def _reduction_entries(vector, witness: BezoutWitness):
+    """The entries of the two operation families sending the padded column
+    (a_1, ..., a_n, 0)^T to e_n: the Bezout row {i: c_i} (row n += c_i *
+    row i) and the clearing column {i: -a_i} (row i -= a_i * row n), zeros
+    left out.  The witness is checked first."""
+    if not witness.check(vector):
+        raise WitnessError("witness coefficients do not satisfy sum(c_i * a_i) = 1")
+    bezout = {i: c for i, c in enumerate(witness.coefficients) if not c.is_zero()}
+    clearing = {i: -a for i, a in enumerate(vector) if not a.is_zero()}
+    return bezout, clearing
+
+
 def unimodular_reduce(vector, witness: BezoutWitness) -> ElementaryWord:
     """An elementary word over indices 0..n sending the padded column
     (a_1, ..., a_n, 0)^T to e_0, checked exactly.
@@ -126,15 +138,9 @@ def unimodular_reduce(vector, witness: BezoutWitness) -> ElementaryWord:
     if n == 0:
         raise WitnessError("empty vector")
     ring = vector[0].ring
-    if not witness.check(vector):
-        raise WitnessError("witness coefficients do not satisfy sum(c_i * a_i) = 1")
-    steps = []
-    for i, c in enumerate(witness.coefficients):
-        if not c.is_zero():
-            steps.append(_elem(ring, {i: {n: c}}, "column-reduction"))
-    for i, a in enumerate(vector):
-        if not a.is_zero():
-            steps.append(_elem(ring, {n: {i: -a}}, "column-reduction"))
+    bezout, clearing = _reduction_entries(vector, witness)
+    steps = [_elem(ring, {i: {n: c}}, "column-reduction") for i, c in bezout.items()]
+    steps += [_elem(ring, {n: {i: v}}, "column-reduction") for i, v in clearing.items()]
     steps.append(_perm(ring, {0: n, n: 0}, "column-reduction"))
     word = ElementaryWord(ring, tuple(steps))
     padded = {i: a for i, a in enumerate(vector) if not a.is_zero()}
@@ -145,63 +151,8 @@ def unimodular_reduce(vector, witness: BezoutWitness) -> ElementaryWord:
 
 
 # ---------------------------------------------------------------------------
-# Block-pair operations (Whitehead word)
+# Block operations (Whitehead lemma)
 # ---------------------------------------------------------------------------
-
-def whitehead_word(block_a, block_b, ring: RingDescriptor) -> ElementaryWord:
-    """The four block operations turning diag(A, B) into diag(A*B, Id_k).
-
-    Column operations are right factors, the final row operation a left
-    factor; the signed block swap is split into a permutation and a sign
-    diagonal so every factor stays in a liftable generator class.
-    """
-    k = len(block_a)
-    if len(block_b) != k:
-        raise LiftError("blocks must have equal size")
-    dense.adjugate_inverse(block_a)          # invertibility check
-    b_inv = dense.adjugate_inverse(block_b)
-    steps = []
-    # C1 += C2 * B^-1
-    steps.append(WordStep(invert(_block_corner_elem(ring, b_inv, k, col_block=0)),
-                          side="R", tag="whitehead"))
-    # C2 -= C1 * B
-    steps.append(WordStep(invert(_block_corner_elem(
-        ring, dense.mat_neg(block_b), k, col_block=1)), side="R", tag="whitehead"))
-    # C1 <-> C2, then C1 *= -1
-    swap = {j: k + j for j in range(k)} | {k + j: j for j in range(k)}
-    steps.append(WordStep(invert(Permutation(ring, FinitePermutation(
-        tuple(sorted(swap.items()))))), side="R", tag="whitehead"))
-    minus_one = -ring.one()
-    steps.append(WordStep(invert(ScalarDiagonal(
-        ring, (minus_one,) * k, ring.one())), side="R", tag="whitehead"))
-    # R1 -= A * R2
-    steps.append(WordStep(invert(_block_corner_elem(
-        ring, dense.mat_neg(block_a), k, col_block=1)), side="L", tag="whitehead"))
-    return ElementaryWord(ring, tuple(steps))
-
-
-def _block_corner_elem(ring, block, k: int, col_block: int) -> Elementary:
-    """id + block placed at rows of one k-block and columns of the other."""
-    row_base = k if col_block == 0 else 0
-    col_base = 0 if col_block == 0 else k
-    head = {}
-    for j in range(k):
-        col = {row_base + i: block[i][j] for i in range(k)
-               if not block[i][j].is_zero()}
-        if col:
-            head[col_base + j] = col
-    return Elementary(ring, head)
-
-
-# ---------------------------------------------------------------------------
-# Swindle factorization
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CertFactor:
-    inv: InvertibleColFin
-    tag: str
-
 
 @dataclass(frozen=True)
 class SparseBlock:
@@ -219,6 +170,77 @@ class SparseBlock:
             if col:
                 cols[j] = col
         return cls(len(block), cols)
+
+
+def _block_operations(ring, a: SparseBlock, b: SparseBlock, b_inv: SparseBlock,
+                      offset: int = 0, periodic: bool = False) -> list:
+    """The block operations turning diag(A, B) into diag(A*B, Id_k), as five
+    matrices: C1 += C2 * B^-1, C2 -= C1 * B, the block swap C1 <-> C2 and
+    C1 *= -1 (right factors, in this order), then R1 -= A * R2 (a left
+    factor).  The signed swap is split into a permutation and a sign
+    diagonal so every matrix stays in a liftable generator class.
+
+    The pair sits at `offset`; with `periodic` the operations act on every
+    pair offset + t*2k at once (their supports are disjoint), through one
+    column family per nonzero column of a block."""
+    k = a.size
+    period = 2 * k
+    minus_one, one = -ring.one(), ring.one()
+
+    def corner(blk, row_base, col_base, negate=False):
+        """id + (+-blk) with blk's (0, 0) entry at (row_base, col_base)."""
+        cols = {col_base + j: {row_base + i: -v if negate else v
+                               for i, v in blk.cols[j].items()}
+                for j in sorted(blk.cols)}
+        if periodic:
+            return Elementary(ring, {}, [
+                ColumnFamily(offset + j, period,
+                             tuple((i - j, v) for i, v in col.items()))
+                for j, col in cols.items()])
+        return Elementary(ring, {offset + j: {offset + i: v for i, v in col.items()}
+                                 for j, col in cols.items()})
+
+    swap = tuple(range(k, period)) + tuple(range(k))
+    if periodic:
+        swap_perm = BlockPeriodicPermutation(offset, period, swap)
+        signs = ScalarDiagonal(ring, (one,) * offset, (minus_one,) * k + (one,) * k)
+    else:
+        swap_perm = FinitePermutation(tuple(
+            (offset + r, offset + s) for r, s in enumerate(swap)))
+        signs = ScalarDiagonal(ring, (one,) * offset + (minus_one,) * k, one)
+    return [corner(b_inv, row_base=k, col_base=0),
+            corner(b, row_base=0, col_base=k, negate=True),
+            Permutation(ring, swap_perm),
+            signs,
+            corner(a, row_base=0, col_base=k, negate=True)]
+
+
+def whitehead_word(block_a, block_b, ring: RingDescriptor) -> ElementaryWord:
+    """The four block operations turning diag(A, B) into diag(A*B, Id_k).
+
+    Column operations are right factors, the final row operation a left
+    factor.
+    """
+    k = len(block_a)
+    if len(block_b) != k:
+        raise LiftError("blocks must have equal size")
+    dense.adjugate_inverse(block_a)          # invertibility check
+    b_inv = dense.adjugate_inverse(block_b)
+    ops = _block_operations(ring, *map(SparseBlock.from_dense,
+                                       (block_a, block_b, b_inv)))
+    return ElementaryWord(ring, tuple(
+        WordStep(invert(op), side=side, tag="whitehead")
+        for op, side in zip(ops, "RRRRL")))
+
+
+# ---------------------------------------------------------------------------
+# Swindle factorization
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CertFactor:
+    inv: InvertibleColFin
+    tag: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,10 +273,10 @@ class SwindleWord:
 
 def swindle_factorization(block_u, ring: RingDescriptor, offset: int = 0,
                           u_inverse=None, tag: str = "swindle") -> SwindleWord:
-    """Factor diag(U, U^-1, U, U^-1, ...) into at most five infinite
-    structured factors: the block operations that turn every disjoint pair
-    diag(U, U^-1) into the identity, applied simultaneously on all pairs
-    (their supports are disjoint), inverted and read backwards.
+    """Factor diag(U, U^-1, U, U^-1, ...) into five infinite structured
+    factors: the block operations that turn every disjoint pair
+    diag(U, U^-1) into the identity, applied simultaneously on all pairs,
+    inverted and read backwards.
 
     U may be a ring element, a dense block or a SparseBlock; U^-1 is given
     in the same form, or omitted for a dense U and computed by the
@@ -266,29 +288,8 @@ def swindle_factorization(block_u, ring: RingDescriptor, offset: int = 0,
         u_inverse = dense.adjugate_inverse(block_u)
     u, u_inv = (b if isinstance(b, SparseBlock) else SparseBlock.from_dense(b)
                 for b in (block_u, u_inverse))
-    k = u.size
-    period = 2 * k
-
-    def corner(blk, col_base, row_base, negate=False):
-        """id + blk placed at (row_base, col_base) of every pair."""
-        return Elementary(ring, {}, [
-            ColumnFamily(offset + col_base + j, period,
-                         tuple((row_base + i - (col_base + j), -v if negate else v)
-                               for i, v in blk.cols[j].items()))
-            for j in sorted(blk.cols)])
-
-    minus_one, one = -ring.one(), ring.one()
-    word = [
-        corner(u, col_base=k, row_base=0),                  # [[Id, U], [0, Id]]
-        ScalarDiagonal(ring, (one,) * offset,               # diag(-Id_k, Id_k)
-                       (minus_one,) * k + (one,) * k),
-        Permutation(ring, BlockPeriodicPermutation(         # pair swap
-            offset, period, tuple(range(k, period)) + tuple(range(k)))),
-        corner(u_inv, col_base=k, row_base=0),              # [[Id, U^-1], [0, Id]]
-        corner(u, col_base=0, row_base=k, negate=True),     # [[Id, 0], [-U, Id]]
-    ]
-    factors = tuple(CertFactor(invert(m), tag) for m in word
-                    if not isinstance(m, Elementary) or m.families)
+    ops = _block_operations(ring, u, u_inv, u, offset, periodic=True)
+    factors = tuple(CertFactor(invert(op).swapped(), tag) for op in reversed(ops))
     return SwindleWord(ring, factors, u, u_inv, offset)
 
 
@@ -325,39 +326,48 @@ def _as_blocks(m: ColFinMatrix):
 @dataclass
 class _Pair:
     start: int
-    k1: int
-    k2: int
     b1: list
+    b1_inv: list
     b2: list
+    b2_inv: list
+
+
+def _block_inverse(blk, name, ring):
+    """The inverse of input block `name` (its prefix index or "tail"); dense
+    size and invertibility errors become UnsupportedMatrixError here."""
+    try:
+        return dense.adjugate_inverse(blk, block_index=name)
+    except dense.DenseSizeError as exc:
+        raise UnsupportedMatrixError(str(exc)) from exc
+    except dense.NonInvertibleError as exc:
+        raise UnsupportedMatrixError(
+            f"block {name} is not invertible over {ring}: {exc}") from exc
 
 
 def _pair_blocks(prefix, tail, ring):
     """Group consecutive blocks into pairs; returns (exceptional pairs,
     first periodic pair start, periodic pair or None).
 
-    Exceptional pairs cover all prefix blocks (padding with tail or identity
-    copies) so that beyond them the pairing is the exact repetition
-    (tail, tail).
+    Exceptional pairs cover all prefix blocks (padding with a tail or
+    identity copy) so that beyond them the pairing is the exact repetition
+    (tail, tail).  Every input block is inverted once, here; the padding
+    and the periodic pair reuse the tail's inverse.
     """
-    blocks = list(prefix)
-    pos = 0
+    blocks = [(b, _block_inverse(b, idx, ring)) for idx, b in enumerate(prefix)]
+    if tail is not None:
+        padding = (tail, _block_inverse(tail, "tail", ring))
+    else:
+        padding = (dense.identity(ring, 1),) * 2
+    if len(blocks) % 2:
+        blocks.append(padding)
     pairs = []
-    idx = 0
-    while idx + 1 < len(blocks):
-        b1, b2 = blocks[idx], blocks[idx + 1]
-        pairs.append(_Pair(pos, len(b1), len(b2), b1, b2))
-        pos += len(b1) + len(b2)
-        idx += 2
-    if idx < len(blocks):
-        b1 = blocks[idx]
-        b2 = tail if tail is not None else dense.identity(ring, 1)
-        pairs.append(_Pair(pos, len(b1), len(b2), b1, b2))
-        pos += len(b1) + len(b2)
+    pos = 0
+    for first, second in zip(blocks[::2], blocks[1::2]):
+        pairs.append(_Pair(pos, *first, *second))
+        pos += len(first[0]) + len(second[0])
     if tail is None:
         return pairs, pos, None
-    k = len(tail)
-    periodic = _Pair(pos, k, k, tail, tail)
-    return pairs, pos, periodic
+    return pairs, pos, _Pair(pos, *padding, *padding)
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +382,8 @@ class _PairWord:
     start: int
     size: int
     k1: int
-    f1_col_entries: dict      # {local col i: coefficient} rows -> spare
-    f2_col_entries: dict      # {local row i: -a_i} on spare column
+    bezout: dict              # {local row i: c_i}: row spare += c_i * row i
+    clearing: dict            # {local row i: -a_i}: row i -= a_i * row spare
     swap: bool
     peel_entries: list        # (t*U^-1)[j] for j in 0..size-2, on the pair's first row
     v_block: list             # dense diag(1, U) block of this pair
@@ -382,60 +392,59 @@ class _PairWord:
 
 
 def _reduce_pair(pair: _Pair, ring) -> _PairWord:
-    k1, k2 = pair.k1, pair.k2
-    size = k1 + k2
+    """Reduce the first column of d = diag(B1, B2) to e_0 by row operations:
+    column reduction of B1's first column, with the first row of B2 as the
+    spare slot, then the 0 <-> spare swap.  This leaves d_red = [[1, t],
+    [0, U]].  Its inverse [[1, -t*U^-1], [0, U^-1]] is built alongside from
+    diag(B1^-1, B2^-1) by the mirrored column operations, so the residual
+    needs no inversion of its own."""
+    k1 = len(pair.b1)
+    size = k1 + len(pair.b2)
     zero, one = ring.zero(), ring.one()
-    d = [[zero] * size for _ in range(size)]
-    for i in range(k1):
-        for j in range(k1):
-            d[i][j] = pair.b1[i][j]
-    for i in range(k2):
-        for j in range(k2):
-            d[k1 + i][k1 + j] = pair.b2[i][j]
 
-    col = [d[i][0] for i in range(size)]
-    already = col[0].is_one() and all(v.is_zero() for v in col[1:])
-    f1_entries, f2_entries, swap = {}, {}, False
-    if not already:
-        b1_inv = dense.adjugate_inverse(pair.b1)
-        witness = [b1_inv[0][i] for i in range(k1)]   # sum w_i * b1[i][0] = 1
+    def diag(x1, x2):
+        out = [[zero] * size for _ in range(size)]
+        for base, blk in ((0, x1), (k1, x2)):
+            for i, row in enumerate(blk):
+                out[base + i][base:base + len(row)] = row
+        return out
+
+    d = diag(pair.b1, pair.b2)
+    d_inv = diag(pair.b1_inv, pair.b2_inv)
+    col = [d[i][0] for i in range(k1)]
+    bezout, clearing, swap = {}, {}, False
+    if not (col[0].is_one() and all(v.is_zero() for v in col[1:])):
+        # row 0 of B1^-1 is a witness for B1's first column
+        bezout, clearing = _reduction_entries(
+            col, BezoutWitness(tuple(pair.b1_inv[0])))
         spare = k1
-        for i in range(k1):
-            if not witness[i].is_zero():
-                f1_entries[i] = witness[i]
-                # row spare += w_i * row i
-                d[spare] = [d[spare][j] + witness[i] * d[i][j] for j in range(size)]
-        for i in range(k1):
-            if not col[i].is_zero():
-                f2_entries[i] = -col[i]
-                d[i] = [d[i][j] - col[i] * d[spare][j] for j in range(size)]
-        swap = True
+        # d_red = R_n ... R_1 d, so d_red^-1 = d^-1 R_1^-1 ... R_n^-1
+        for i, c in bezout.items():
+            d[spare] = [x + c * y for x, y in zip(d[spare], d[i])]
+            for row in d_inv:
+                row[i] = row[i] - c * row[spare]
+        for i, v in clearing.items():
+            d[i] = [x + v * y for x, y in zip(d[i], d[spare])]
+            for row in d_inv:
+                row[spare] = row[spare] - v * row[i]
         d[0], d[spare] = d[spare], d[0]
+        for row in d_inv:
+            row[0], row[spare] = row[spare], row[0]
+        swap = True
 
     if not (d[0][0].is_one()
             and all(d[i][0].is_zero() for i in range(1, size))):
         raise LiftVerificationError("pair reduction did not fix the first column")
 
-    peel = [d[0][j + 1] for j in range(size - 1)]
-    u = [[d[1 + i][1 + j] for j in range(size - 1)] for i in range(size - 1)]
-    u_inv = dense.adjugate_inverse(u)
-    tu_inv = [sum((peel[t] * u_inv[t][j] for t in range(size - 1)), zero)
-              for j in range(size - 1)]
-
-    v_block = [[one if i == j == 0 else zero for j in range(size)]
-               for i in range(size)]
-    v_inv = [[one if i == j == 0 else zero for j in range(size)]
-             for i in range(size)]
-    for i in range(size - 1):
-        for j in range(size - 1):
-            v_block[1 + i][1 + j] = u[i][j]
-            v_inv[1 + i][1 + j] = u_inv[i][j]
-
-    trivial = (not f1_entries and not f2_entries and not swap
+    tu_inv = [-v for v in d_inv[0][1:]]
+    # clearing the first rows leaves diag(1, U) and diag(1, U^-1)
+    d[0] = [one] + [zero] * (size - 1)
+    d_inv[0] = list(d[0])
+    trivial = (not bezout and not clearing and not swap
                and all(v.is_zero() for v in tu_inv)
-               and matrices._is_identity_block(v_block))
-    return _PairWord(pair.start, size, k1, f1_entries, f2_entries, swap,
-                     tu_inv, v_block, v_inv, trivial)
+               and matrices._is_identity_block(d))
+    return _PairWord(pair.start, size, k1, bezout, clearing, swap,
+                     tu_inv, d, d_inv, trivial)
 
 
 # ---------------------------------------------------------------------------
@@ -550,8 +559,14 @@ def _lift_factor(h: RingHom, m: ColFinMatrix) -> ColFinMatrix:
 # The end-to-end lift
 # ---------------------------------------------------------------------------
 
-def gl_lift(h: RingHom, p: InvertibleColFin, requested_window: int = 64) -> LiftCertificate:
+def gl_lift(h: RingHom, p, requested_window: int = 64) -> LiftCertificate:
     """Produce a verified lift certificate for a supported invertible input.
+
+    `p` is the input matrix; an InvertibleColFin is unwrapped and its
+    inverse is not read.  Invertibility is checked here, each input block
+    being inverted once when the pairs are reduced; a block that is not
+    invertible, or too large for dense inversion, raises
+    UnsupportedMatrixError naming it.
 
     Pipeline per block pair: reduce the pair's leading column with the spare
     slot of the second block (column-reduction), move the created unit into
@@ -565,13 +580,12 @@ def gl_lift(h: RingHom, p: InvertibleColFin, requested_window: int = 64) -> Lift
     are lifted factor by factor.  The returned certificate carries the
     report of its own check on `requested_window`.
     """
-    target = h.target
-    m = p.matrix
-    if m.ring != target:
+    m = p.matrix if isinstance(p, InvertibleColFin) else p
+    if m.ring != h.target:
         raise UnsupportedMatrixError(
-            f"input lives over {m.ring}, hom target is {target}")
+            f"input lives over {m.ring}, hom target is {h.target}")
     factors = _word_factors(m, requested_window)
-    return _assemble_certificate(h, p, factors, requested_window)
+    return _assemble_certificate(h, m, factors, requested_window)
 
 
 def _word_factors(m: ColFinMatrix, requested_window: int) -> list:
@@ -583,7 +597,6 @@ def _word_factors(m: ColFinMatrix, requested_window: int) -> list:
         return [CertFactor(invert(m), "generator")]
     target = m.ring
     prefix, tail = _as_blocks(m)
-    _check_invertible_blocks(prefix, tail, target)
     pairs, prefix_end, periodic = _pair_blocks(prefix, tail, target)
 
     pair_words = [_reduce_pair(pr, target) for pr in pairs]
@@ -592,18 +605,6 @@ def _word_factors(m: ColFinMatrix, requested_window: int) -> list:
     return (_stage_factors(target, pair_words, periodic_word, prefix_end)
             + _corner_factors(target, pair_words, periodic_word,
                               prefix_end, requested_window))
-
-
-def _check_invertible_blocks(prefix, tail, ring):
-    for idx, blk in enumerate(list(prefix) + ([tail] if tail is not None else [])):
-        name = "tail" if tail is not None and idx == len(prefix) else idx
-        try:
-            dense.adjugate_inverse(blk, block_index=name)
-        except dense.DenseSizeError as exc:
-            raise UnsupportedMatrixError(str(exc)) from exc
-        except dense.NonInvertibleError as exc:
-            raise UnsupportedMatrixError(
-                f"block {name} is not invertible over {ring}: {exc}") from exc
 
 
 def _stage_factors(ring, pair_words, periodic_word, prefix_end):
@@ -616,11 +617,10 @@ def _stage_factors(ring, pair_words, periodic_word, prefix_end):
 
     for pw in pair_words:
         spare = pw.start + pw.k1
-        for i, c in pw.f1_col_entries.items():
+        for i, c in pw.bezout.items():
             f1_head[pw.start + i] = {spare: c}
-        if pw.f2_col_entries:
-            f2_head[spare] = {pw.start + i: v
-                              for i, v in pw.f2_col_entries.items()}
+        if pw.clearing:
+            f2_head[spare] = {pw.start + i: v for i, v in pw.clearing.items()}
         if pw.swap:
             swap_map[pw.start] = spare
             swap_map[spare] = pw.start
@@ -632,13 +632,13 @@ def _stage_factors(ring, pair_words, periodic_word, prefix_end):
         pw = periodic_word
         period = pw.size
         spare_rel = pw.k1
-        for i, c in pw.f1_col_entries.items():
+        for i, c in pw.bezout.items():
             f1_fams.append(ColumnFamily(pw.start + i, period,
                                         ((spare_rel - i, c),)))
-        if pw.f2_col_entries:
+        if pw.clearing:
             f2_fams.append(ColumnFamily(
                 pw.start + spare_rel, period,
-                tuple((i - spare_rel, v) for i, v in pw.f2_col_entries.items())))
+                tuple((i - spare_rel, v) for i, v in pw.clearing.items())))
         if pw.swap:
             images = list(range(period))
             images[0], images[spare_rel] = images[spare_rel], images[0]
@@ -729,7 +729,7 @@ def _lift_invertible(h: RingHom, inv: InvertibleColFin) -> InvertibleColFin:
     return InvertibleColFin(lifted, invert(lifted).inverse)
 
 
-def _assemble_certificate(h, p, cert_factors, requested_window) -> LiftCertificate:
+def _assemble_certificate(h, m, cert_factors, requested_window) -> LiftCertificate:
     source = h.source
     lifted = []
     for cf in cert_factors:
@@ -742,9 +742,8 @@ def _assemble_certificate(h, p, cert_factors, requested_window) -> LiftCertifica
             ProductMatrix(source, [cf.inv.inverse for cf in reversed(lifted)]))
     else:
         lift = InvertibleColFin(Identity(source), Identity(source))
-    cert = LiftCertificate(h, p.matrix, lift, tuple(cf.tag for cf in lifted),
+    cert = LiftCertificate(h, m, lift, tuple(cf.tag for cf in lifted),
                            requested_window)
-    cert._cert_factors = list(cert_factors)
     cert.report = verify_certificate(cert, requested_window)
     if not cert.report.passed:
         raise LiftVerificationError(
@@ -784,23 +783,10 @@ class VerificationReport:
                            for c in self.checks]}
 
 
-def _window_columns(m: ColFinMatrix, n: int, threads: int):
-    """Columns 0..n-1 of m, optionally computed by a capped thread pool;
-    results are collected in index order, so output is deterministic."""
-    if threads <= 1:
-        return [m.column(j) for j in range(n)]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(m.column, range(n)))
-
-
-def _first_window_mismatch(a: ColFinMatrix, b: ColFinMatrix, n: int,
-                           threads: int = 1):
+def _first_window_mismatch(a: ColFinMatrix, b: ColFinMatrix, n: int):
     zero_a, zero_b = a.ring.zero(), b.ring.zero()
-    cols_a = _window_columns(a, n, threads)
-    cols_b = _window_columns(b, n, threads)
     for j in range(n):
-        ca, cb = cols_a[j], cols_b[j]
+        ca, cb = a.column(j), b.column(j)
         # rows absent from both sparse columns hold zero on both sides
         for i in sorted(i for i in ca.keys() | cb.keys() if i < n):
             va = ca.get(i, zero_a)
@@ -810,21 +796,16 @@ def _first_window_mismatch(a: ColFinMatrix, b: ColFinMatrix, n: int,
     return None
 
 
-def verify_certificate(cert: LiftCertificate, window_size: int,
-                       threads: int = 1) -> VerificationReport:
+def verify_certificate(cert: LiftCertificate, window_size: int) -> VerificationReport:
     """Re-check a certificate: the image of the lift matches the input on
     the window, the paired inverse is two-sided on the window, and every
     factor is a liftable generator.  Failures are report entries.
-
-    Column evaluations are independent; `threads` caps the worker pool used
-    for them (the report content does not depend on it).
     """
     checks = []
 
     t0 = time.perf_counter()
     image = matrices.map_hom(cert.hom, cert.lift.matrix)
-    mismatch = _first_window_mismatch(image, cert.input_matrix, window_size,
-                                      threads)
+    mismatch = _first_window_mismatch(image, cert.input_matrix, window_size)
     detail = "image of lift equals input on window" if mismatch is None else \
         (f"first mismatch at (row {mismatch[0]}, col {mismatch[1]}): "
          f"{rings.render(mismatch[2])} != {rings.render(mismatch[3])}")
@@ -834,10 +815,10 @@ def verify_certificate(cert: LiftCertificate, window_size: int,
     t0 = time.perf_counter()
     ident = Identity(cert.lift.matrix.ring)
     left = multiply(cert.lift.matrix, cert.lift.inverse)
-    mismatch = _first_window_mismatch(left, ident, window_size, threads)
+    mismatch = _first_window_mismatch(left, ident, window_size)
     if mismatch is None:
         right = multiply(cert.lift.inverse, cert.lift.matrix)
-        mismatch = _first_window_mismatch(right, ident, window_size, threads)
+        mismatch = _first_window_mismatch(right, ident, window_size)
     detail = "lift * inverse = inverse * lift = identity on window" \
         if mismatch is None else \
         (f"first mismatch at (row {mismatch[0]}, col {mismatch[1]})")

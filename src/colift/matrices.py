@@ -10,8 +10,7 @@ agree everywhere iff they agree on the square window of size
 max(o1, o2) + 2*lcm(p1, p2).  Everything else is an explicit
 "equal on window n" assertion.
 
-Matrices are immutable; product columns are memoized in a per-object dict
-that is safe for concurrent readers.
+Matrices are immutable; product columns are memoized in a per-object dict.
 """
 
 from __future__ import annotations
@@ -275,7 +274,10 @@ class BlockDiagonal(ColFinMatrix):
         self.prefix_blocks = tuple(tuple(tuple(r) for r in blk) for blk in prefix_blocks)
         self.tail_block = (tuple(tuple(r) for r in tail_block)
                            if tail_block is not None else None)
-        for blk in self.prefix_blocks + ((self.tail_block,) if self.tail_block else ()):
+        for blk in self.prefix_blocks + (
+                (self.tail_block,) if self.tail_block is not None else ()):
+            if not blk:
+                raise MatrixFormError("blocks must not be 0x0")
             if any(len(row) != len(blk) for row in blk):
                 raise MatrixFormError("blocks must be square")
         starts = []
@@ -716,25 +718,6 @@ def _normalize(m: ColFinMatrix) -> ColFinMatrix:
 # Inversion
 # ---------------------------------------------------------------------------
 
-def _invert_block(blk, block_index):
-    """Blockwise inverse with a fast path for diagonal blocks (common for
-    sign diagonals and identity paddings, which can be large)."""
-    n = len(blk)
-    ring = blk[0][0].ring
-    if all(blk[i][j].is_zero() for i in range(n) for j in range(n) if i != j):
-        out = [[ring.zero()] * n for _ in range(n)]
-        for i in range(n):
-            v = rings.is_unit(blk[i][i])
-            if v is None:
-                raise NonInvertibleError(
-                    f"diagonal entry {rings.render(blk[i][i])} at {i} is not a unit"
-                    f" (block {block_index})",
-                    det=blk[i][i], block_index=block_index)
-            out[i][i] = v
-        return out
-    return dense.adjugate_inverse(blk, block_index=block_index)
-
-
 @dataclass(frozen=True)
 class InvertibleColFin:
     """A matrix paired with a two-sided inverse; checked on windows."""
@@ -787,12 +770,12 @@ def invert(m: ColFinMatrix) -> InvertibleColFin:
             tail_inv.append(v)
         return InvertibleColFin(m, ScalarDiagonal(ring, inv_prefix, tail_inv))
     if isinstance(m, FinitePerturbation):
-        inv = _invert_block(m.corner, 0)
+        inv = dense.adjugate_inverse(m.corner, block_index=0)
         return InvertibleColFin(m, FinitePerturbation(ring, inv))
     if isinstance(m, BlockDiagonal):
-        inv_prefix = [_invert_block(blk, i)
+        inv_prefix = [dense.adjugate_inverse(blk, block_index=i)
                       for i, blk in enumerate(m.prefix_blocks)]
-        inv_tail = (_invert_block(m.tail_block, "tail")
+        inv_tail = (dense.adjugate_inverse(m.tail_block, block_index="tail")
                     if m.tail_block is not None else None)
         return InvertibleColFin(m, BlockDiagonal(ring, inv_prefix, inv_tail))
     if isinstance(m, ProductMatrix):

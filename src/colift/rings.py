@@ -341,16 +341,6 @@ class RingElement:
         return f"<{render(self)} in {self.ring}>"
 
 
-# Spec-level operation names; thin wrappers over the dunder arithmetic.
-
-def add(x: RingElement, y: RingElement) -> RingElement:
-    return x + y
-
-
-def mul(x: RingElement, y: RingElement) -> RingElement:
-    return x * y
-
-
 def renormalize(x: RingElement) -> RingElement:
     """Rebuild the canonical payload; the identity on canonical elements."""
     r = x.ring

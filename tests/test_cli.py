@@ -1,13 +1,14 @@
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
 import pytest
 
 import colift
-from colift import cli, lifting, rings, skolem
+from colift import cli, dense, lifting, rings, skolem
 
 
 def run_cli(args, capsys):
@@ -78,6 +79,78 @@ def test_lift_block_over_the_dense_cap_exits_3(tmp_path, capsys):
     assert "block 0" in stderr and "16x16" in stderr
 
 
+def test_lift_inverts_a_10x10_corner_once(tmp_path, capsys, monkeypatch):
+    rng = random.Random(10)
+    n, p = 10, 101
+    lower = [[rng.randrange(p) if i > j else int(i == j) for j in range(n)]
+             for i in range(n)]
+    upper = [[rng.randrange(p) if i < j else rng.randrange(1, p) if i == j
+              else 0 for j in range(n)] for i in range(n)]
+    corner = [[str(sum(lower[i][t] * upper[t][j] for t in range(n)) % p)
+               for j in range(n)] for i in range(n)]
+    path = _write(tmp_path / "corner.json", "Z/101",
+                  {"form": "finite_perturbation", "corner": corner})
+    sizes = []
+    real = dense.adjugate_inverse
+
+    def counting(a, block_index=None):
+        sizes.append(len(a))
+        return real(a, block_index=block_index)
+
+    monkeypatch.setattr(dense, "adjugate_inverse", counting)
+    code, stdout, _ = run_cli(["lift", "--hom", "z_to_z101",
+                               "--matrix", str(path), "--window", "16"], capsys)
+    assert code == 0
+    assert "PASS" in stdout
+    assert sizes == [10]
+
+
+def test_lift_singular_prefix_block_exits_3(tmp_path, capsys):
+    path = _write(tmp_path / "singular.json", "Z/101", {
+        "form": "block_diagonal", "prefix": [[["1"]], [["1", "2"], ["2", "4"]]],
+        "tail": [["3"]]})
+    code, _, stderr = run_cli(["lift", "--hom", "z_to_z101",
+                               "--matrix", str(path), "--window", "16"], capsys)
+    assert code == 3
+    assert "block 1" in stderr
+
+
+ZERO_SIZE_FORMS = [
+    {"form": "finite_perturbation", "corner": []},
+    {"form": "block_diagonal", "prefix": [[]], "tail": None},
+    {"form": "block_diagonal", "prefix": [], "tail": []},
+]
+
+
+@pytest.mark.parametrize("matrix, expected", zip(ZERO_SIZE_FORMS, (0, 2, 2)))
+def test_lift_zero_size_blocks(tmp_path, capsys, matrix, expected):
+    """A 0x0 corner is the identity; a 0x0 block is an input error."""
+    path = _write(tmp_path / "empty.json", "Z/101", matrix)
+    code, _, stderr = run_cli(["lift", "--hom", "z_to_z101",
+                               "--matrix", str(path), "--window", "16"], capsys)
+    assert code == expected
+    assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("matrix, expected", zip(ZERO_SIZE_FORMS, (4, 2, 2)))
+def test_verify_zero_size_factors(tmp_path, capsys, matrix, expected):
+    """A certificate factor with a 0x0 block ends in an exit code: the 0x0
+    corner is outside the liftable classes, a 0x0 block is malformed."""
+    path = _write(tmp_path / "id.json", "Z/5", {"form": "identity"})
+    cert = tmp_path / "cert.json"
+    code, _, _ = run_cli(["lift", "--hom", "z_to_z5", "--matrix", str(path),
+                          "--window", "16", "--out", str(cert)], capsys)
+    assert code == 0
+    data = json.loads(cert.read_text(encoding="utf-8"))
+    data["factors"].append({"tag": "generator", "side": "L", "matrix": matrix})
+    data["content_hash"] = lifting._content_hash(data)
+    cert.write_text(json.dumps(data), encoding="utf-8")
+    code, _, stderr = run_cli(["verify", "--certificate", str(cert),
+                               "--window", "16"], capsys)
+    assert code == expected
+    assert "Traceback" not in stderr
+
+
 def _lift_and_verify(tmp_path, capsys, hom, path):
     cert = tmp_path / "cert.json"
     code, stdout, _ = run_cli(["lift", "--hom", hom, "--matrix", str(path),
@@ -110,6 +183,14 @@ def test_lift_permutation_input(tmp_path, capsys):
     path = _write(tmp_path / "p.json", "Z/5", PERMUTATION)
     cert = _lift_and_verify(tmp_path, capsys, "z_to_z5", path)
     assert cert["factors"][0]["matrix"] == PERMUTATION
+
+
+def test_lift_long_scalar_tail_cycle(tmp_path, capsys):
+    """A unit tail cycle longer than the dense cap lifts entrywise."""
+    cycle = [f"u^{e}" for e in range(1, 17)]
+    path = _write(tmp_path / "cycle.json", LAURENT,
+                  {"form": "scalar_diagonal", "prefix": [], "tail": cycle})
+    _lift_and_verify(tmp_path, capsys, "zxy_to_laurent", path)
 
 
 def test_lift_mixed_product_input(tmp_path, capsys):
