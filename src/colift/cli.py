@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import cohomology, lifting, matrices, rings, skolem
-from .dense import NonInvertibleError
+from .dense import DenseSizeError, NonInvertibleError
 from .homs import HomRegistry, SectionError
 from .lifting import (LiftError, UnsupportedMatrixError, certificate_from_json,
                       certificate_to_json, gl_lift, verify_certificate)
@@ -29,7 +29,8 @@ EXIT_VERIFY = 4
 
 _PARSE_ERRORS = (ParseError, RingError, MatrixFormError, KeyError, ValueError,
                  OSError, json.JSONDecodeError, skolem.SkolemError)
-_UNSUPPORTED_ERRORS = (UnsupportedMatrixError, NonInvertibleError, SectionError)
+_UNSUPPORTED_ERRORS = (UnsupportedMatrixError, NonInvertibleError, SectionError,
+                       DenseSizeError)
 
 
 def _load_registry(path):
@@ -115,7 +116,7 @@ def _cmd_skolem(args) -> int:
     error = None
     if report.passed:
         try:
-            conj = skolem.recover_conjugator(spec)
+            conj = skolem.recover_conjugator(spec, report)
         except skolem.SkolemError as exc:
             error = str(exc)
     if args.format == "json":

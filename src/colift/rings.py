@@ -125,16 +125,6 @@ class RingDescriptor:
             return c % self.modulus
         return c
 
-    @property
-    def is_domain(self) -> bool:
-        if self.kind == "integers":
-            return True
-        if self.kind == "residue":
-            return _is_prime(self.modulus)
-        if self.coeff_kind == "integers":
-            return True
-        return _is_prime(self.coeff_modulus)
-
     def __str__(self):
         if self.kind == "integers":
             return "Z"
@@ -170,19 +160,36 @@ def laurent(name: str, coeff: Optional[RingDescriptor] = None) -> RingDescriptor
                           coeff_kind=coeff.kind, coeff_modulus=coeff.modulus)
 
 
+# Deterministic Miller-Rabin on the 13 prime bases 2..41 is exact for every
+# n below this bound (Sorenson and Webster, "Strong pseudoprimes to twelve
+# prime bases", Math. Comp. 86 (2017)).
+PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(n: int) -> bool:
+    """Exact primality for n < PRIME_TEST_BOUND; larger n raise ValueError."""
+    if n >= PRIME_TEST_BOUND:
+        raise ValueError(f"primality is decided only below {PRIME_TEST_BOUND}")
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _PRIME_BASES:
         if n % p == 0:
             return n == p
-        if p * p > n:
-            return True
-    i = 41
-    while i * i <= n:
-        if n % i == 0:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        i += 2
     return True
 
 

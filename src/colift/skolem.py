@@ -7,17 +7,19 @@ invertible U with phi = conjugation-by-U, and certifies that the center of
 Mat_n consists exactly of the scalar matrices.  U is unique up to a central
 unit.
 
-Matrices here are dense tuples of ints (residues in [0, p) for Z/p);
-mod-p bulk checks go through numpy.
+Matrices here are dense tuples of Python ints (residues in [0, p) for Z/p),
+so every check is exact at any modulus.  Validation multiplies O(n^2) pairs
+of unit images, O(n^5) in all; recovery adds O(n^3), and its final check
+conjugates every matrix unit, O(n^4).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import mul
 from typing import Optional
-
-import numpy as np
 
 from . import rings
 from .rings import RingDescriptor, RingElement
@@ -39,8 +41,13 @@ class ObstructionError(SkolemError):
 def _check_ring(ring: RingDescriptor):
     if ring.kind == "integers":
         return
-    if ring.kind == "residue" and rings._is_prime(ring.modulus):
-        return
+    if ring.kind == "residue":
+        if ring.modulus >= rings.PRIME_TEST_BOUND:
+            raise SkolemError(
+                f"{ring}: primality is decided only for moduli below "
+                f"{rings.PRIME_TEST_BOUND}")
+        if rings._is_prime(ring.modulus):
+            return
     raise SkolemError(
         f"conjugator recovery is implemented over Z and Z/p (prime); got {ring}")
 
@@ -57,15 +64,12 @@ def _norm(ring, m):
 
 
 def _matmul(ring, a, b):
-    n = len(a)
+    cols = tuple(zip(*b))
     if ring.kind == "residue":
         p = ring.modulus
-        return tuple(tuple(
-            sum(a[i][k] * b[k][j] for k in range(n)) % p for j in range(n))
-            for i in range(n))
-    return tuple(tuple(
-        sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n))
+        return tuple(tuple(sum(map(mul, row, col)) % p for col in cols)
+                     for row in a)
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def _identity(n):
@@ -77,58 +81,47 @@ def _unit_matrix(n, i, j):
                  for r in range(n))
 
 
-def _int_det(m) -> int:
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    total = 0
-    for j in range(n):
-        if m[0][j]:
-            minor = tuple(row[:j] + row[j + 1:] for row in m[1:])
-            term = m[0][j] * _int_det(minor)
-            total += term if j % 2 == 0 else -term
-    return total
-
-
-def _int_adjugate(m):
-    n = len(m)
-    if n == 1:
-        return ((1,),)
-    out = [[0] * n for _ in range(n)]
-    idx = tuple(range(n))
-    for i in range(n):
-        for j in range(n):
-            minor = tuple(tuple(m[r][c] for c in idx if c != j)
-                          for r in idx if r != i)
-            cof = _int_det(minor)
-            out[j][i] = cof if (i + j) % 2 == 0 else -cof
-    return tuple(tuple(row) for row in out)
-
-
 def matrix_inverse(ring: RingDescriptor, m):
-    """Exact inverse; over Z the determinant must be a unit (+-1)."""
+    """Exact inverse by Gauss-Jordan elimination: in residues over Z/p, in
+    Fractions over Z, where the determinant must be a unit (+-1)."""
     n = len(m)
     if ring.kind == "residue":
         p = ring.modulus
-        a = [list(row) + [1 if i == j else 0 for j in range(n)]
-             for i, row in enumerate(m)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if a[r][col] % p), None)
-            if pivot is None:
-                raise SkolemError("matrix is singular mod p")
+
+        def red(v):
+            return v % p
+
+        def recip(v):
+            return pow(v, -1, p)
+    else:
+        red = Fraction
+
+        def recip(v):
+            return 1 / v
+    a = [[red(v) for v in row] + [red(int(i == j)) for j in range(n)]
+         for i, row in enumerate(m)]
+    det = red(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col]), None)
+        if pivot is None:
+            det = 0
+            break
+        if pivot != col:
             a[col], a[pivot] = a[pivot], a[col]
-            inv = pow(a[col][col] % p, p - 2, p)
-            a[col] = [(v * inv) % p for v in a[col]]
-            for r in range(n):
-                if r != col and a[r][col] % p:
-                    f = a[r][col] % p
-                    a[r] = [(v - f * w) % p for v, w in zip(a[r], a[col])]
-        return tuple(tuple(row[n:]) for row in a)
-    det = _int_det(m)
-    if det not in (1, -1):
+            det = -det
+        det = red(det * a[col][col])
+        f = recip(a[col][col])
+        a[col] = [red(v * f) for v in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [red(v - f * w) for v, w in zip(a[r], a[col])]
+    if ring.kind == "residue":
+        if not det:
+            raise SkolemError("matrix is singular mod p")
+    elif det not in (1, -1):
         raise SkolemError(f"determinant {det} is not a unit of Z")
-    adj = _int_adjugate(m)
-    return tuple(tuple(det * v for v in row) for row in adj)
+    return tuple(tuple(int(v) for v in row[n:]) for row in a)
 
 
 def conjugate_unit(ring, u, u_inv, i, j):
@@ -148,7 +141,10 @@ def conjugate_unit(ring, u, u_inv, i, j):
 
 @dataclass(frozen=True)
 class AlgebraAutoSpec:
-    """The values phi(E_ij) of an automorphism of Mat_n on all matrix units."""
+    """The values phi(E_ij) of an automorphism of Mat_n on all matrix units.
+
+    Every image must be an n x n matrix of Python ints; images are stored
+    normalized (residues in [0, p)) in row-major unit order."""
 
     n: int
     ring: RingDescriptor
@@ -158,10 +154,29 @@ class AlgebraAutoSpec:
         return self._images[(i, j)]
 
     def __post_init__(self):
-        object.__setattr__(self, "_images",
-                           {(i, j): m for i, j, m in self.unit_images})
-        if len(self._images) != self.n * self.n:
+        n = self.n
+        images = {}
+        for i, j, m in self.unit_images:
+            if not (0 <= i < n and 0 <= j < n):
+                raise SkolemError(f"matrix unit ({i},{j}) is outside "
+                                  f"0 <= i, j < {n}")
+            images[(i, j)] = _checked_image(self.ring, n, i, j, m)
+        if len(images) != n * n:
             raise SkolemError("need an image for every matrix unit")
+        object.__setattr__(self, "_images", images)
+        object.__setattr__(self, "unit_images", tuple(
+            (i, j, m) for (i, j), m in sorted(images.items())))
+
+
+def _checked_image(ring, n, i, j, m):
+    """The normalized image m of E_ij; it must be n x n with int entries."""
+    if (not isinstance(m, (list, tuple)) or len(m) != n
+            or any(not isinstance(row, (list, tuple)) or len(row) != n
+                   for row in m)):
+        raise SkolemError(f"image of unit ({i},{j}) is not a {n}x{n} matrix")
+    if any(type(v) is not int for row in m for v in row):
+        raise SkolemError(f"image of unit ({i},{j}) has a non-integer entry")
+    return _norm(ring, m)
 
 
 def spec_from_conjugator(ring: RingDescriptor, u) -> AlgebraAutoSpec:
@@ -229,63 +244,61 @@ def central_scalar(m, ring: RingDescriptor) -> Optional[RingElement]:
     return ring.from_int(f)
 
 
+def _unit_relations_hold(ring, n, q) -> bool:
+    """Whether the images q[(i, j)] satisfy the generating relations of the
+    matrix-unit multiplication table, 2n^2 products:
+
+        e_0i e_j0 = delta_ij e_00,    e_i0 e_0j = e_ij.
+
+    Each is an entry of the full table, and together they give all of it:
+    e_ij e_kl = e_i0 (e_0j e_k0) e_0l = delta_jk (e_i0 e_00) e_0l
+    = delta_jk e_i0 e_0l = delta_jk e_il, by the second family at j = 0
+    and then at j = l.
+    """
+    if n == 0:
+        return True
+    zero = ((0,) * n,) * n
+    e00 = q[(0, 0)]
+    col = [q[(i, 0)] for i in range(n)]
+    row = [q[(0, j)] for j in range(n)]
+    return (all(_matmul(ring, row[i], col[j]) == (e00 if i == j else zero)
+                for i in range(n) for j in range(n))
+            and all(_matmul(ring, col[i], row[j]) == q[(i, j)]
+                    for i in range(n) for j in range(n)))
+
+
 def validate_auto_spec(spec: AlgebraAutoSpec) -> ValidationReport:
     """Per-invariant report: idempotence, orthogonality, completeness, and
-    the matrix-unit multiplication table."""
+    the matrix-unit multiplication table (checked through its generating
+    relations, see `_unit_relations_hold`)."""
     n, ring = spec.n, spec.ring
+    q = spec._images
+    diag = [q[(i, i)] for i in range(n)]
+    zero = ((0,) * n,) * n
+    mult = _unit_relations_hold(ring, n, q)
+    # The table gives e_ii e_jj = delta_ij e_ii, so a preserved table implies
+    # idempotence and orthogonality; they are only computed when it fails.
+    idem = mult or all(_matmul(ring, d, d) == d for d in diag)
+    orth = mult or all(_matmul(ring, diag[i], diag[j]) == zero
+                       for i in range(n) for j in range(n) if i != j)
+    total = _norm(ring, [[sum(d[r][c] for d in diag) for c in range(n)]
+                         for r in range(n)])
+    comp = total == _identity(n)
     checks = []
-    if ring.kind == "residue":
-        p = ring.modulus
-        q = np.zeros((n, n, n, n), dtype=np.int64)
-        for i in range(n):
-            for j in range(n):
-                q[i, j] = np.array(spec.image(i, j), dtype=np.int64) % p
-        diag = q[np.arange(n), np.arange(n)]           # (n, n, n)
-        idem = np.all((np.matmul(diag, diag) - diag) % p == 0)
-        prod = np.matmul(diag[:, None], diag[None, :]) % p   # (n, n, n, n)
-        off = np.ones((n, n), dtype=bool)
-        np.fill_diagonal(off, False)
-        orth = np.all(prod[off] % p == 0)
-        comp = np.all(diag.sum(axis=0) % p
-                      == np.eye(n, dtype=np.int64))
-        table = np.einsum("ijab,klbc->ijklac", q, q) % p
-        expected = np.zeros_like(table)
-        for i in range(n):
-            for j in range(n):
-                for l in range(n):
-                    expected[i, j, j, l] = q[i, l]
-        mult = np.all((table - expected) % p == 0)
-    else:
-        qs = {ij: spec.image(*ij) for ij in
-              ((i, j) for i in range(n) for j in range(n))}
-        diag = [qs[(i, i)] for i in range(n)]
-        idem = all(_matmul(ring, d, d) == d for d in diag)
-        orth = all(_matmul(ring, diag[i], diag[j]) == _norm(ring, [[0] * n] * n)
-                   for i in range(n) for j in range(n) if i != j)
-        total = [[sum(diag[t][i][j] for t in range(n)) for j in range(n)]
-                 for i in range(n)]
-        comp = _norm(ring, total) == _identity(n)
-        zero = _norm(ring, [[0] * n] * n)
-        mult = True
-        for (i, j), a in qs.items():
-            for (k, l), b in qs.items():
-                want = qs[(i, l)] if j == k else zero
-                if _matmul(ring, a, b) != want:
-                    mult = False
     checks.append(ValidationCheck(
-        "idempotence", bool(idem),
+        "idempotence", idem,
         "each projector image squares to itself" if idem
         else "some projector image is not idempotent"))
     checks.append(ValidationCheck(
-        "orthogonality", bool(orth),
+        "orthogonality", orth,
         "projector images are pairwise orthogonal" if orth
         else "some pair of projector images has nonzero product"))
     checks.append(ValidationCheck(
-        "completeness", bool(comp),
+        "completeness", comp,
         "projector images sum to the identity" if comp
         else "projector images do not sum to the identity"))
     checks.append(ValidationCheck(
-        "unit_multiplication", bool(mult),
+        "unit_multiplication", mult,
         "matrix-unit multiplication table is preserved" if mult
         else "multiplication table of unit images is wrong"))
     return ValidationReport(tuple(checks))
@@ -357,76 +370,57 @@ def _is_multiple(ring, c, w):
     return all(c[j] == factor * w[j] for j in range(n))
 
 
-def recover_conjugator(spec: AlgebraAutoSpec) -> Conjugator:
+def _scalar_inverse(ring, s):
+    if ring.kind == "residue" and s:
+        return pow(s, -1, ring.modulus)
+    if ring.kind == "integers" and s in (1, -1):
+        return s
+    raise SpecInvariantError(f"residual scalar {s} is not a unit")
+
+
+def recover_conjugator(spec: AlgebraAutoSpec,
+                       report: Optional[ValidationReport] = None) -> Conjugator:
     """Recover u with phi = conjugation-by-u from the unit images.
 
-    Steps: pick a generator of each projector image's column space; assemble
-    them as the columns of a first candidate; conjugate back and read off
-    the residual unit scalars on the off-diagonal matrix units; check their
-    cocycle relation; absorb them into a diagonal correction based at the
-    first index; verify the full conjugation identity.
+    `report` is the spec's `validate_auto_spec` report, computed here when
+    not given; a spec that fails it raises SpecInvariantError.
+
+    Steps: pick a generator w_i of each projector image phi(E_ii); they are
+    the columns of a first candidate U'.  The residual automorphism
+    phi' = U'^-1 phi U' fixes every E_ii: phi(E_ii) w_i = w_i, and
+    phi(E_ii) w_j = phi(E_ii) phi(E_jj) w_j = 0 for j != i by orthogonality.
+    Hence phi'(E_ij) = E_ii phi'(E_ij) E_jj = s_ij E_ij for scalars s_ij,
+    and the preserved multiplication table gives s_ii = 1, s_ij s_ji = 1
+    (so each s_ij is a unit) and s_ij s_jk = s_ik, so s_ij = s_i0 / s_j0.
+    With D = diag(s_00, ..., s_(n-1)0), D E_ij D^-1 = s_ij E_ij, so
+    u = U' D conjugates every E_ij to phi(E_ij).  Only the n scalars s_i0
+    are computed, each as row i of U'^-1 times phi(E_i0) times column 0 of
+    U', and u^-1 = D^-1 U'^-1.  The final check conjugates every matrix
+    unit and compares it with its image.
     """
     _check_ring(spec.ring)
     ring, n = spec.ring, spec.n
-    report = validate_auto_spec(spec)
+    if report is None:
+        report = validate_auto_spec(spec)
     if not report.passed:
         failed = ", ".join(c.name for c in report.checks if not c.passed)
         raise SpecInvariantError(f"not an algebra automorphism: {failed} failed")
 
     generators = [_rank_one_generator(ring, spec.image(i, i), i)
                   for i in range(n)]
-    u_prime = _norm(ring, [[generators[j][i] for j in range(n)]
-                           for i in range(n)])
+    u_prime = _norm(ring, zip(*generators))
     u_prime_inv = matrix_inverse(ring, u_prime)   # invertible since the images span
-
-    # phi'(E_ij) = U'^-1 phi(E_ij) U' must be s_ij * E_ij
-    s = [[None] * n for _ in range(n)]
+    col0 = [row[0] for row in u_prime]
+    s = [sum(map(mul, u_prime_inv[i], _matvec(ring, spec.image(i, 0), col0)))
+         for i in range(n)]
+    s = [v % ring.modulus for v in s] if ring.kind == "residue" else s
+    s_inv = [_scalar_inverse(ring, v) for v in s]
+    u = _norm(ring, [[v * s[c] for c, v in enumerate(row)] for row in u_prime])
+    u_inv = _norm(ring, [[t * v for v in row]
+                         for t, row in zip(s_inv, u_prime_inv)])
     for i in range(n):
         for j in range(n):
-            m = _matmul(ring, u_prime_inv,
-                        _matmul(ring, spec.image(i, j), u_prime))
-            for r in range(n):
-                for c in range(n):
-                    expected_zero = (r, c) != (i, j)
-                    if expected_zero and m[r][c] != 0:
-                        raise SpecInvariantError(
-                            "normalized unit image is not a scalar multiple "
-                            f"of a matrix unit at ({i},{j})")
-            s[i][j] = m[i][j]
-
-    # cocycle checks: s_ii = 1, every s a unit, s_ij s_jk = s_ik
-    one = 1
-    for i in range(n):
-        if s[i][i] != one:
-            raise SpecInvariantError("diagonal residual scalar is not 1")
-    if ring.kind == "residue":
-        p = ring.modulus
-        if any(s[i][j] % p == 0 for i in range(n) for j in range(n)):
-            raise SpecInvariantError("residual scalar is not a unit")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if (s[i][j] * s[j][k] - s[i][k]) % p:
-                        raise SpecInvariantError("residual scalars break the "
-                                                 "cocycle relation")
-    else:
-        if any(s[i][j] not in (1, -1) for i in range(n) for j in range(n)):
-            raise SpecInvariantError("residual scalar is not a unit of Z")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if s[i][j] * s[j][k] != s[i][k]:
-                        raise SpecInvariantError("residual scalars break the "
-                                                 "cocycle relation")
-
-    # diagonal correction based at index 0: d_i = s_{i,0}
-    u_second = tuple(tuple(s[i][0] if i == j else 0 for j in range(n))
-                     for i in range(n))
-    u = _matmul(ring, u_prime, u_second)
-    u_inv = matrix_inverse(ring, u)
-    for i in range(n):
-        for j in range(n):
-            if conjugate_unit(ring, u, u_inv, i, j) != _norm(ring, spec.image(i, j)):
+            if conjugate_unit(ring, u, u_inv, i, j) != spec.image(i, j):
                 raise SkolemError("final conjugation check failed at "
                                   f"unit ({i},{j})")
     return Conjugator(u, ring)
@@ -445,12 +439,25 @@ def spec_to_json(spec: AlgebraAutoSpec) -> dict:
     }
 
 
-def spec_from_json(data: dict) -> AlgebraAutoSpec:
+def _unit_key(key):
+    """(i, j) from an images key "i,j" of two decimal indices."""
+    i, sep, j = key.partition(",")
+    if sep and i.isdecimal() and j.isdecimal():
+        return int(i), int(j)
+    raise SkolemError(f"image key {key!r} is not \"i,j\"")
+
+
+def spec_from_json(data) -> AlgebraAutoSpec:
+    if not isinstance(data, dict):
+        raise SkolemError("a conjugator spec is a JSON object with keys n, "
+                          "ring and images")
     ring = rings.descriptor_from_json(data["ring"])
-    n = int(data["n"])
-    images = []
-    for key, m in data["images"].items():
-        i, j = (int(t) for t in key.split(","))
-        images.append((i, j, _norm(ring, m)))
-    images.sort(key=lambda t: (t[0], t[1]))
-    return AlgebraAutoSpec(n, ring, tuple(images))
+    n = data["n"]
+    if type(n) is not int or n < 0:
+        raise SkolemError(f"n must be a nonnegative integer, got {n!r}")
+    images = data["images"]
+    if not isinstance(images, dict):
+        raise SkolemError("images must be an object mapping \"i,j\" to an "
+                          "n x n matrix")
+    return AlgebraAutoSpec(n, ring, tuple(
+        (*_unit_key(key), m) for key, m in images.items()))

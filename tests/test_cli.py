@@ -4,6 +4,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -149,6 +150,26 @@ def test_verify_zero_size_factors(tmp_path, capsys, matrix, expected):
                                "--window", "16"], capsys)
     assert code == expected
     assert "Traceback" not in stderr
+
+
+def test_verify_block_over_the_dense_cap_exits_3(tmp_path, capsys):
+    """A certificate factor with a non-diagonal 16x16 block is outside the
+    dense cap: exit 3, as for `lift`."""
+    path = _write(tmp_path / "id.json", "Z/5", {"form": "identity"})
+    cert = tmp_path / "cert.json"
+    code, _, _ = run_cli(["lift", "--hom", "z_to_z5", "--matrix", str(path),
+                          "--window", "16", "--out", str(cert)], capsys)
+    assert code == 0
+    data = json.loads(cert.read_text(encoding="utf-8"))
+    block = [[str(int(c in (r, r + 1))) for c in range(16)] for r in range(16)]
+    data["factors"].append({"tag": "generator", "side": "L", "matrix": {
+        "form": "block_diagonal", "prefix": [block], "tail": None}})
+    data["content_hash"] = lifting._content_hash(data)
+    cert.write_text(json.dumps(data), encoding="utf-8")
+    code, _, stderr = run_cli(["verify", "--certificate", str(cert),
+                               "--window", "16"], capsys)
+    assert code == 3
+    assert "14x14" in stderr
 
 
 def _lift_and_verify(tmp_path, capsys, hom, path):
@@ -309,6 +330,77 @@ def test_skolem_invalid_spec_exits_4(tmp_path, capsys):
     assert code == 4
 
 
+def _unit_images(n):
+    return {f"{i},{j}": [[int((r, c) == (i, j)) for c in range(n)]
+                         for r in range(n)]
+            for i in range(n) for j in range(n)}
+
+
+@pytest.mark.parametrize("doc", [
+    [1, 2],                                            # top-level list
+    {"n": 1, "ring": "Z", "images": None},
+    {"n": 1, "ring": "Z", "images": {"0,0": [[1.5]]}},
+    {"n": 1, "ring": "Z", "images": {"0,0": [["1"]]}},
+    {"n": 1, "ring": "Z", "images": {"0,0": [[True]]}},
+    {"n": 2, "ring": "Z/5", "images": {**_unit_images(2), "1,1": [[0, 0], [0]]}},
+    {"n": 2, "ring": "Z/5", "images": {**_unit_images(2), "1,1": [[0, 0, 0]] * 3}},
+    {"n": 2, "ring": "Z/5", "images": {**_unit_images(2), "1,1": 7}},
+    {"n": 2, "ring": "Z/5", "images": {"0,0": [[1, 0], [0, 0]]}},
+    {"n": 1, "ring": "Z", "images": {"1,1": [[1]]}},
+    {"n": 1, "ring": "Z", "images": {"0": [[1]]}},
+    {"n": 1, "ring": "Z", "images": {"-0,0": [[1]]}},
+    {"n": 1.5, "ring": "Z", "images": {}},
+], ids=["list", "images-null", "float", "string", "bool", "ragged",
+        "oversized", "not-a-matrix", "missing-units", "key-out-of-range", "key-no-comma",
+        "key-sign", "n-float"])
+def test_skolem_malformed_spec_exits_2(tmp_path, capsys, doc):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, stderr = run_cli(["skolem", "recover", "--spec", str(path)], capsys)
+    assert code == 2
+    assert "Traceback" not in stderr
+
+
+def test_skolem_empty_spec_exits_0(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"n": 0, "ring": "Z/5", "images": {}}),
+                    encoding="utf-8")
+    code, stdout, _ = run_cli(["skolem", "recover", "--spec", str(path),
+                               "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(stdout)["conjugator"] == []
+
+
+def test_skolem_modulus_beyond_the_primality_bound_is_refused(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"n": 2, "ring": f"Z/{2 ** 127 - 1}",
+                                "images": _unit_images(2)}), encoding="utf-8")
+    start = time.perf_counter()
+    code, stdout, _ = run_cli(["skolem", "recover", "--spec", str(path),
+                               "--format", "json"], capsys)
+    assert time.perf_counter() - start < 5
+    assert code == 4
+    assert str(rings.PRIME_TEST_BOUND) in json.loads(stdout)["error"]
+
+
+def test_skolem_recover_validates_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    validate = skolem.validate_auto_spec
+
+    def counting(spec):
+        calls.append(spec.n)
+        return validate(spec)
+
+    monkeypatch.setattr(skolem, "validate_auto_spec", counting)
+    spec = skolem.spec_from_conjugator(rings.residue(101),
+                                       ((3, 7, 1), (0, 2, 5), (9, 0, 2)))
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(skolem.spec_to_json(spec)), encoding="utf-8")
+    code, _, _ = run_cli(["skolem", "recover", "--spec", str(path)], capsys)
+    assert code == 0
+    assert calls == [3]
+
+
 def test_cohomology_threshold_table(capsys):
     code, stdout, _ = run_cli(["cohomology", "--system", "standard:P2",
                                "--cond", "V0", "--twist", "-5",
@@ -367,3 +459,16 @@ def test_console_entry_point():
         capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0
     assert "n' = 3" in proc.stdout
+
+
+def test_import_leaves_numpy_out():
+    src = str(pathlib.Path(colift.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, colift, colift.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "False"

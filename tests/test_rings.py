@@ -272,3 +272,30 @@ def test_descriptor_json_roundtrip():
 def test_element_json_roundtrip():
     x = el(LAU, "u^-2 + 5")
     assert rings.element_from_json(rings.element_to_json(x)) == x
+
+
+# ---------------------------------------------------------------------------
+# primality (deterministic Miller-Rabin)
+# ---------------------------------------------------------------------------
+
+def test_is_prime_agrees_with_trial_division_below_1e5():
+    sieve = bytearray([1]) * 100_000
+    sieve[0] = sieve[1] = 0
+    for p in range(2, 317):
+        if sieve[p]:
+            sieve[p * p::p] = bytearray(len(sieve[p * p::p]))
+    assert [rings._is_prime(m) for m in range(100_000)] == [bool(v) for v in sieve]
+
+
+def test_is_prime_pseudoprimes_and_mersenne_primes():
+    assert not rings._is_prime(561)              # Carmichael number
+    assert not rings._is_prime(3_215_031_751)    # strong pseudoprime to 2, 3, 5, 7
+    assert rings._is_prime(2 ** 31 - 1)
+    assert rings._is_prime(2 ** 61 - 1)
+    assert not rings._is_prime((2 ** 31 - 1) * (2 ** 41 - 1))
+
+
+def test_is_prime_refuses_moduli_beyond_the_proven_bound():
+    assert rings._is_prime(rings.PRIME_TEST_BOUND - 2) in (True, False)
+    with pytest.raises(ValueError):
+        rings._is_prime(rings.PRIME_TEST_BOUND)

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from colift import rings, skolem
 from colift.skolem import (AlgebraAutoSpec, ObstructionError, SkolemError,
@@ -191,3 +192,169 @@ def test_spec_json_roundtrip():
     back = spec_from_json(spec_to_json(spec))
     assert back.n == spec.n and back.ring == spec.ring
     assert back.unit_images == spec.unit_images
+
+
+# ---------------------------------------------------------------------------
+# differential test against the full multiplication table
+# ---------------------------------------------------------------------------
+
+def _reference_report(spec):
+    """Per-check booleans from the full n^4 multiplication table."""
+    n, ring = spec.n, spec.ring
+    mm = skolem._matmul
+    zero = tuple(tuple(0 for _ in range(n)) for _ in range(n))
+    diag = [spec.image(i, i) for i in range(n)]
+    idem = all(mm(ring, d, d) == d for d in diag)
+    orth = all(mm(ring, diag[i], diag[j]) == zero
+               for i in range(n) for j in range(n) if i != j)
+    total = skolem._norm(ring, [[sum(d[r][c] for d in diag)
+                                 for c in range(n)] for r in range(n)])
+    comp = total == skolem._identity(n)
+    units = [(i, j) for i in range(n) for j in range(n)]
+    mult = all(mm(ring, spec.image(i, j), spec.image(k, l))
+               == (spec.image(i, l) if j == k else zero)
+               for i, j in units for k, l in units)
+    return [idem, orth, comp, mult]
+
+
+def _reference_recover(spec):
+    """The conjugator by n^2 full conjugations and the cocycle relation."""
+    ring, n = spec.ring, spec.n
+    mm = skolem._matmul
+    if not all(_reference_report(spec)):
+        raise SpecInvariantError("invalid")
+    gens = [skolem._rank_one_generator(ring, spec.image(i, i), i)
+            for i in range(n)]
+    u1 = skolem._norm(ring, [[gens[j][i] for j in range(n)]
+                             for i in range(n)])
+    u1_inv = matrix_inverse(ring, u1)
+    s = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            m = mm(ring, u1_inv, mm(ring, spec.image(i, j), u1))
+            if any(m[r][c] for r in range(n) for c in range(n)
+                   if (r, c) != (i, j)):
+                raise SpecInvariantError("not a scalar multiple")
+            s[i][j] = m[i][j]
+    p = ring.modulus
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs = s[i][j] * s[j][k] - s[i][k]
+                if (lhs % p if p else lhs) or s[i][i] != 1:
+                    raise SpecInvariantError("cocycle")
+    u = mm(ring, u1, tuple(tuple(s[i][0] if i == j else 0 for j in range(n))
+                           for i in range(n)))
+    u_inv = matrix_inverse(ring, u)
+    for i in range(n):
+        for j in range(n):
+            if skolem.conjugate_unit(ring, u, u_inv, i, j) != spec.image(i, j):
+                raise SkolemError("final check")
+    return u
+
+
+def _outcome(fn, spec):
+    try:
+        return fn(spec)
+    except SkolemError as exc:
+        return type(exc)
+
+
+def random_unimodular(n, rng):
+    """A product of random unit triangular matrices and a signed permutation."""
+    u = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    for _ in range(3):
+        low = [[rng.randrange(-2, 3) if i > j else int(i == j)
+                for j in range(n)] for i in range(n)]
+        up = [[rng.randrange(-2, 3) if i < j else int(i == j)
+               for j in range(n)] for i in range(n)]
+        u = skolem._matmul(Z, skolem._matmul(Z, u, low), up)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    signs = [rng.choice((-1, 1)) for _ in range(n)]
+    return tuple(tuple(signs[c] * row[perm[c]] for c in range(n)) for row in u)
+
+
+def _perturbed_spec(ring, n, rng, edits):
+    u = (random_unimodular(n, rng) if ring == Z
+         else random_invertible(ring, n, rng))
+    images = {(i, j): [list(row) for row in m]
+              for i, j, m in spec_from_conjugator(ring, u).unit_images}
+    units = sorted(images)
+    for kind in edits:
+        a, b = rng.choice(units), rng.choice(units)
+        if kind == "entry":
+            images[a][rng.randrange(n)][rng.randrange(n)] += rng.choice((-1, 1))
+        elif kind == "scale":
+            f = rng.choice((-1, 2, 3))
+            images[a] = [[f * v for v in row] for row in images[a]]
+        elif kind == "swap":
+            images[a], images[b] = images[b], images[a]
+        elif kind == "zero":
+            images[a] = [[0] * n for _ in range(n)]
+        elif kind == "cocycle":
+            # a valid spec again: conjugation by u * diag(t)
+            t = [rng.choice((-1, 1)) if ring == Z else rng.randrange(1, ring.modulus)
+                 for _ in range(n)]
+            images = {(i, j): [[v * t[i] * skolem._scalar_inverse(ring, t[j])
+                                for v in row] for row in m]
+                      for (i, j), m in images.items()}
+    return AlgebraAutoSpec(n, ring, tuple((i, j, m) for (i, j), m
+                                          in sorted(images.items())))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([Z5, Z101, Z]), st.integers(1, 5),
+       st.integers(0, 2 ** 32),
+       st.lists(st.sampled_from(["entry", "scale", "swap", "zero", "cocycle"]),
+                max_size=3))
+def test_validation_and_recovery_match_full_table(ring, n, seed, edits):
+    spec = _perturbed_spec(ring, n, random.Random(seed), edits)
+    report = validate_auto_spec(spec)
+    assert [c.passed for c in report.checks] == _reference_report(spec)
+    ours = _outcome(lambda s: recover_conjugator(s, report).u, spec)
+    assert ours == _outcome(_reference_recover, spec)
+
+
+# ---------------------------------------------------------------------------
+# big moduli, exact inverses over Z, one validation per CLI call
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("p", [2 ** 31 - 1, 2 ** 61 - 1])
+def test_recover_over_big_prime_fields(p):
+    ring = rings.residue(p)
+    rng = random.Random(p)
+    for n in (2, 5, 8):
+        u_true = random_invertible(ring, n, rng)
+        spec = spec_from_conjugator(ring, u_true)
+        assert validate_auto_spec(spec).passed
+        conj = recover_conjugator(spec)
+        u_inv = matrix_inverse(ring, conj.u)
+        for i in range(n):
+            for j in range(n):
+                assert skolem.conjugate_unit(ring, conj.u, u_inv, i, j) \
+                    == spec.image(i, j)
+        ratio = skolem._matmul(ring, conj.u, matrix_inverse(ring, u_true))
+        assert central_scalar(ratio, ring) is not None
+
+
+def test_dense_unimodular_12x12_inverts_and_recovers():
+    rng = random.Random(61)
+    u = random_unimodular(12, rng)
+    assert sum(1 for row in u for v in row if v) > 100
+    u_inv = matrix_inverse(Z, u)
+    ident = skolem._identity(12)
+    assert skolem._matmul(Z, u, u_inv) == ident
+    assert skolem._matmul(Z, u_inv, u) == ident
+    assert matrix_inverse(Z, u_inv) == u
+    conj = recover_conjugator(spec_from_conjugator(Z, u))
+    assert central_scalar(skolem._matmul(Z, conj.u, u_inv), Z) is not None
+
+
+def test_non_unimodular_integer_matrix_is_refused():
+    with pytest.raises(SkolemError, match="determinant 2 is not a unit of Z"):
+        matrix_inverse(Z, ((1, 1), (-1, 1)))
+    with pytest.raises(SkolemError, match="determinant 0 is not a unit of Z"):
+        matrix_inverse(Z, ((1, 2), (2, 4)))
+    with pytest.raises(SkolemError, match="singular mod p"):
+        matrix_inverse(Z5, ((1, 2), (2, 4)))
