@@ -139,10 +139,37 @@ def hom_from_json(name: str, data: dict) -> RingHom:
     images = tuple(sorted(
         (var, rings.parse_element(target, expr))
         for var, expr in data.get("images", {}).items()))
-    return RingHom(source=source, target=target, generator_images=images,
-                   section_rule=data.get("section", ""),
-                   surjective=bool(data.get("surjective", True)),
-                   name=name)
+    h = RingHom(source=source, target=target, generator_images=images,
+                section_rule=data.get("section", ""),
+                surjective=bool(data.get("surjective", True)),
+                name=name)
+    _check_section(h)
+    return h
+
+
+def _check_section(h: RingHom) -> None:
+    """hom_apply(h, hom_section(h, g)) == g for g = 1, each target variable
+    and, in a Laurent target, its inverse; a hom without a section rule is
+    not checked.  A failure raises RingError naming the hom and g, so a
+    mis-registered hom is refused when the registry loads."""
+    if not h.section_rule:
+        return
+    tgt = h.target
+    gens = [tgt.one()]
+    if tgt.kind in ("polynomial", "laurent"):
+        gens += [tgt.variable(v) for v in tgt.variables]
+    if tgt.kind == "laurent":
+        gens.append(tgt.variable(tgt.variables[0], -1))
+    for g in gens:
+        try:
+            back = hom_apply(h, hom_section(h, g))
+        except (SectionError, RingError) as exc:
+            raise RingError(f"hom {h.name}: section rule {h.section_rule!r} "
+                            f"cannot lift {rings.render(g)}: {exc}") from exc
+        if back != g:
+            raise RingError(f"hom {h.name}: section rule {h.section_rule!r} "
+                            f"lifts {rings.render(g)} to an element mapping "
+                            f"to {rings.render(back)}")
 
 
 def hom_to_json(h: RingHom) -> dict:

@@ -3,21 +3,23 @@ surjective ring map.
 
 The factorization machinery: reduce a unimodular column to a basis vector by
 elementary operations (using one spare zero slot), turn block pairs
-diag(A, B) into diag(A*B, Id) by the classical four block operations, factor
-the alternating infinite diagonal diag(U, U^-1, U, U^-1, ...) into at most
-five infinite structured factors by applying those block operations on every
-disjoint pair at once, and combine the three to lift any supported
-eventually-periodic invertible matrix.  Every emitted factor is an
-elementary matrix (lifted entrywise by the hom's zero-preserving section), a
-permutation, or a sign diagonal (both defined over the image of Z, hence
-lifted exactly); the paired inverse word is exact by construction.
+diag(A, B) into diag(A*B, Id) by the classical four block operations, and
+factor the alternating infinite diagonal diag(V, V^-1, V, V^-1, ...) into
+five infinite structured factors by applying those block operations on
+every disjoint pair at once (the Eilenberg swindle).  A supported
+eventually-periodic input is lifted through its own corner V: two
+swindles, the second shifted by the size of V, multiply to diag(V, Id).
+Every emitted factor is an elementary matrix (lifted entrywise by the hom's
+zero-preserving section), a permutation, or a sign diagonal (both defined
+over the image of Z, hence lifted exactly); the paired inverse word is
+exact by construction.
 
 A certificate records the factor word over the source ring, per-factor
 provenance, and the window on which the image of the lift was checked
 against the input.  Window checks are exact corner comparisons; for inputs
-whose periodic tail genuinely requires the infinite-repetition trick the
-word agrees with the input on (at least twice) the requested window, and
-the certificate records that window rather than claiming more.
+with a nontrivial periodic tail the corner reaches at least twice the
+requested window, beyond which the word is the identity, and the
+certificate records that window rather than claiming more.
 """
 
 from __future__ import annotations
@@ -113,34 +115,26 @@ def _perm(ring, mapping, tag: str) -> WordStep:
 # Unimodular column reduction
 # ---------------------------------------------------------------------------
 
-def _reduction_entries(vector, witness: BezoutWitness):
-    """The entries of the two operation families sending the padded column
-    (a_1, ..., a_n, 0)^T to e_n: the Bezout row {i: c_i} (row n += c_i *
-    row i) and the clearing column {i: -a_i} (row i -= a_i * row n), zeros
-    left out.  The witness is checked first."""
-    if not witness.check(vector):
-        raise WitnessError("witness coefficients do not satisfy sum(c_i * a_i) = 1")
-    bezout = {i: c for i, c in enumerate(witness.coefficients) if not c.is_zero()}
-    clearing = {i: -a for i, a in enumerate(vector) if not a.is_zero()}
-    return bezout, clearing
-
-
 def unimodular_reduce(vector, witness: BezoutWitness) -> ElementaryWord:
     """An elementary word over indices 0..n sending the padded column
     (a_1, ..., a_n, 0)^T to e_0, checked exactly.
 
-    The two displayed operation families land the created 1 in the spare
-    slot n; a final 0 <-> n transposition (a permutation, which lifts
-    exactly) moves it to slot 0.
+    The Bezout row (row n += c_i * row i) lands a 1 in the spare slot n, the
+    clearing column (row i -= a_i * row n) zeroes the rest, and a final
+    0 <-> n transposition (a permutation, which lifts exactly) moves the 1
+    to slot 0.  Zero coefficients give no factor.
     """
     vector = list(vector)
     n = len(vector)
     if n == 0:
         raise WitnessError("empty vector")
+    if not witness.check(vector):
+        raise WitnessError("witness coefficients do not satisfy sum(c_i * a_i) = 1")
     ring = vector[0].ring
-    bezout, clearing = _reduction_entries(vector, witness)
-    steps = [_elem(ring, {i: {n: c}}, "column-reduction") for i, c in bezout.items()]
-    steps += [_elem(ring, {n: {i: v}}, "column-reduction") for i, v in clearing.items()]
+    steps = [_elem(ring, {i: {n: c}}, "column-reduction")
+             for i, c in enumerate(witness.coefficients) if not c.is_zero()]
+    steps += [_elem(ring, {n: {i: -a}}, "column-reduction")
+              for i, a in enumerate(vector) if not a.is_zero()]
     steps.append(_perm(ring, {0: n, n: 0}, "column-reduction"))
     word = ElementaryWord(ring, tuple(steps))
     padded = {i: a for i, a in enumerate(vector) if not a.is_zero()}
@@ -323,15 +317,6 @@ def _as_blocks(m: ColFinMatrix):
         "diagonal, elementary, permutation, or a product of these)")
 
 
-@dataclass
-class _Pair:
-    start: int
-    b1: list
-    b1_inv: list
-    b2: list
-    b2_inv: list
-
-
 def _block_inverse(blk, name, ring):
     """The inverse of input block `name` (its prefix index or "tail"); dense
     size and invertibility errors become UnsupportedMatrixError here."""
@@ -342,109 +327,6 @@ def _block_inverse(blk, name, ring):
     except dense.NonInvertibleError as exc:
         raise UnsupportedMatrixError(
             f"block {name} is not invertible over {ring}: {exc}") from exc
-
-
-def _pair_blocks(prefix, tail, ring):
-    """Group consecutive blocks into pairs; returns (exceptional pairs,
-    first periodic pair start, periodic pair or None).
-
-    Exceptional pairs cover all prefix blocks (padding with a tail or
-    identity copy) so that beyond them the pairing is the exact repetition
-    (tail, tail).  Every input block is inverted once, here; the padding
-    and the periodic pair reuse the tail's inverse.
-    """
-    blocks = [(b, _block_inverse(b, idx, ring)) for idx, b in enumerate(prefix)]
-    if tail is not None:
-        padding = (tail, _block_inverse(tail, "tail", ring))
-    else:
-        padding = (dense.identity(ring, 1),) * 2
-    if len(blocks) % 2:
-        blocks.append(padding)
-    pairs = []
-    pos = 0
-    for first, second in zip(blocks[::2], blocks[1::2]):
-        pairs.append(_Pair(pos, *first, *second))
-        pos += len(first[0]) + len(second[0])
-    if tail is None:
-        return pairs, pos, None
-    return pairs, pos, _Pair(pos, *padding, *padding)
-
-
-# ---------------------------------------------------------------------------
-# Per-pair reduction data
-# ---------------------------------------------------------------------------
-
-@dataclass
-class _PairWord:
-    """Stage data for one block pair: the reduction word (as sparse pieces),
-    the peeled row, and the residual invertible block."""
-
-    start: int
-    size: int
-    k1: int
-    bezout: dict              # {local row i: c_i}: row spare += c_i * row i
-    clearing: dict            # {local row i: -a_i}: row i -= a_i * row spare
-    swap: bool
-    peel_entries: list        # (t*U^-1)[j] for j in 0..size-2, on the pair's first row
-    v_block: list             # dense diag(1, U) block of this pair
-    v_block_inv: list
-    trivial: bool             # pair contributes nothing anywhere
-
-
-def _reduce_pair(pair: _Pair, ring) -> _PairWord:
-    """Reduce the first column of d = diag(B1, B2) to e_0 by row operations:
-    column reduction of B1's first column, with the first row of B2 as the
-    spare slot, then the 0 <-> spare swap.  This leaves d_red = [[1, t],
-    [0, U]].  Its inverse [[1, -t*U^-1], [0, U^-1]] is built alongside from
-    diag(B1^-1, B2^-1) by the mirrored column operations, so the residual
-    needs no inversion of its own."""
-    k1 = len(pair.b1)
-    size = k1 + len(pair.b2)
-    zero, one = ring.zero(), ring.one()
-
-    def diag(x1, x2):
-        out = [[zero] * size for _ in range(size)]
-        for base, blk in ((0, x1), (k1, x2)):
-            for i, row in enumerate(blk):
-                out[base + i][base:base + len(row)] = row
-        return out
-
-    d = diag(pair.b1, pair.b2)
-    d_inv = diag(pair.b1_inv, pair.b2_inv)
-    col = [d[i][0] for i in range(k1)]
-    bezout, clearing, swap = {}, {}, False
-    if not (col[0].is_one() and all(v.is_zero() for v in col[1:])):
-        # row 0 of B1^-1 is a witness for B1's first column
-        bezout, clearing = _reduction_entries(
-            col, BezoutWitness(tuple(pair.b1_inv[0])))
-        spare = k1
-        # d_red = R_n ... R_1 d, so d_red^-1 = d^-1 R_1^-1 ... R_n^-1
-        for i, c in bezout.items():
-            d[spare] = [x + c * y for x, y in zip(d[spare], d[i])]
-            for row in d_inv:
-                row[i] = row[i] - c * row[spare]
-        for i, v in clearing.items():
-            d[i] = [x + v * y for x, y in zip(d[i], d[spare])]
-            for row in d_inv:
-                row[spare] = row[spare] - v * row[i]
-        d[0], d[spare] = d[spare], d[0]
-        for row in d_inv:
-            row[0], row[spare] = row[spare], row[0]
-        swap = True
-
-    if not (d[0][0].is_one()
-            and all(d[i][0].is_zero() for i in range(1, size))):
-        raise LiftVerificationError("pair reduction did not fix the first column")
-
-    tu_inv = [-v for v in d_inv[0][1:]]
-    # clearing the first rows leaves diag(1, U) and diag(1, U^-1)
-    d[0] = [one] + [zero] * (size - 1)
-    d_inv[0] = list(d[0])
-    trivial = (not bezout and not clearing and not swap
-               and all(v.is_zero() for v in tu_inv)
-               and matrices._is_identity_block(d))
-    return _PairWord(pair.start, size, k1, bezout, clearing, swap,
-                     tu_inv, d, d_inv, trivial)
 
 
 # ---------------------------------------------------------------------------
@@ -564,21 +446,20 @@ def gl_lift(h: RingHom, p, requested_window: int = 64) -> LiftCertificate:
 
     `p` is the input matrix; an InvertibleColFin is unwrapped and its
     inverse is not read.  Invertibility is checked here, each input block
-    being inverted once when the pairs are reduced; a block that is not
-    invertible, or too large for dense inversion, raises
-    UnsupportedMatrixError naming it.
+    being inverted once; a block that is not invertible, or too large for
+    dense inversion, raises UnsupportedMatrixError naming it.
 
-    Pipeline per block pair: reduce the pair's leading column with the spare
-    slot of the second block (column-reduction), move the created unit into
-    place with a transposition (rearrange), peel the elementary top-row
-    factor (peel-elementary); the residual diag(1, U, 1, U, ...) is split
-    into a finite corner handled exactly by two interleaved alternating
-    diagonals (swindle).  The corner horizon is at least twice the requested
-    window plus the factor bandwidth, so the certificate re-verifies at
-    double its stated window.  Elementary and permutation inputs are
-    liftable generators and become one-factor words ("generator"); products
-    are lifted factor by factor.  The returned certificate carries the
-    report of its own check on `requested_window`.
+    A block-diagonal input diag(B_1, B_2, ...) is lifted through its own
+    corner V = diag(B_1, ..., B_r) up to a horizon h: the two swindles
+    diag(V, V^-1, V, V^-1, ...) and diag(Id_h, V, V^-1, V, ...) multiply to
+    diag(V, Id), which is the input on [0, h) and, for an identity tail,
+    everywhere.  h is the end of the prefix for an identity tail, else the
+    first tail-block boundary at or beyond twice the requested window, so
+    the certificate re-verifies at double its stated window.  Elementary
+    and permutation inputs are liftable generators and become one-factor
+    words ("generator"); products are lifted factor by factor.  The
+    returned certificate carries the report of its own check on
+    `requested_window`.
     """
     m = p.matrix if isinstance(p, InvertibleColFin) else p
     if m.ring != h.target:
@@ -589,161 +470,58 @@ def gl_lift(h: RingHom, p, requested_window: int = 64) -> LiftCertificate:
 
 
 def _word_factors(m: ColFinMatrix, requested_window: int) -> list:
-    """The target-side factor word of one supported input; products are
-    lifted factor by factor and their words concatenated."""
+    """The target-side factor word of one supported input: two swindles of
+    its corner (see gl_lift), or one generator factor; products are lifted
+    factor by factor and their words concatenated."""
     if isinstance(m, ProductMatrix):
         return [cf for f in m.factors for cf in _word_factors(f, requested_window)]
     if isinstance(m, (Elementary, Permutation)):
         return [CertFactor(invert(m), "generator")]
-    target = m.ring
+    ring = m.ring
     prefix, tail = _as_blocks(m)
-    pairs, prefix_end, periodic = _pair_blocks(prefix, tail, target)
-
-    pair_words = [_reduce_pair(pr, target) for pr in pairs]
-    periodic_word = _reduce_pair(periodic, target) if periodic else None
-
-    return (_stage_factors(target, pair_words, periodic_word, prefix_end)
-            + _corner_factors(target, pair_words, periodic_word,
-                              prefix_end, requested_window))
-
-
-def _stage_factors(ring, pair_words, periodic_word, prefix_end):
-    """Column-reduction, rearrange and peel factors, fused across all pairs."""
-    f1_head, f2_head, peel_head = {}, {}, {}
-    swap_map = {}
-    f1_fams, f2_fams, peel_fams = [], [], []
-    period = None
-    swap_periodic = None
-
-    for pw in pair_words:
-        spare = pw.start + pw.k1
-        for i, c in pw.bezout.items():
-            f1_head[pw.start + i] = {spare: c}
-        if pw.clearing:
-            f2_head[spare] = {pw.start + i: v for i, v in pw.clearing.items()}
-        if pw.swap:
-            swap_map[pw.start] = spare
-            swap_map[spare] = pw.start
-        for j, v in enumerate(pw.peel_entries):
-            if not v.is_zero():
-                peel_head.setdefault(pw.start + 1 + j, {})[pw.start] = v
-
-    if periodic_word is not None and not periodic_word.trivial:
-        pw = periodic_word
-        period = pw.size
-        spare_rel = pw.k1
-        for i, c in pw.bezout.items():
-            f1_fams.append(ColumnFamily(pw.start + i, period,
-                                        ((spare_rel - i, c),)))
-        if pw.clearing:
-            f2_fams.append(ColumnFamily(
-                pw.start + spare_rel, period,
-                tuple((i - spare_rel, v) for i, v in pw.clearing.items())))
-        if pw.swap:
-            images = list(range(period))
-            images[0], images[spare_rel] = images[spare_rel], images[0]
-            swap_periodic = BlockPeriodicPermutation(pw.start, period, tuple(images))
-        for j, v in enumerate(pw.peel_entries):
-            if not v.is_zero():
-                peel_fams.append(ColumnFamily(pw.start + 1 + j, period,
-                                              ((-(1 + j), v),)))
-
-    out = []
-    if f1_head or f1_fams:
-        f1 = Elementary(ring, f1_head, f1_fams)
-        out.append(CertFactor(invert(f1).swapped(), "column-reduction"))
-    if f2_head or f2_fams:
-        f2 = Elementary(ring, f2_head, f2_fams)
-        out.append(CertFactor(invert(f2).swapped(), "column-reduction"))
-    if swap_map:
-        out.append(CertFactor(invert(Permutation(
-            ring, FinitePermutation(tuple(sorted(swap_map.items()))))).swapped(),
-            "rearrange"))
-    if swap_periodic is not None:
-        out.append(CertFactor(invert(Permutation(ring, swap_periodic)).swapped(),
-                              "rearrange"))
-    if peel_head or peel_fams:
-        out.append(CertFactor(invert(Elementary(ring, peel_head, peel_fams)),
-                              "peel-elementary"))
-    return out
-
-
-def _corner_factors(ring, pair_words, periodic_word, prefix_end, requested_window):
-    """Factor the residual diag(1, U_1, 1, U_2, ...) exactly when its tail is
-    trivial, else through a corner whose two interleaved alternating
-    diagonals reproduce it beyond twice the requested window."""
-    max_size = max([pw.size for pw in pair_words], default=1)
-    if periodic_word is not None:
-        max_size = max(max_size, periodic_word.size)
-
-    tail_trivial = periodic_word is None or \
-        matrices._is_identity_block(periodic_word.v_block)
-    if tail_trivial:
-        horizon = prefix_end
-    else:
-        horizon = max(2 * requested_window + 8 * max_size, prefix_end)
-        steps = -(-max(horizon - prefix_end, 0) // periodic_word.size)
-        horizon = prefix_end + steps * periodic_word.size
-
-    segments = []       # (start, v_block, v_inv)
-    for pw in pair_words:
-        segments.append((pw.start, pw.v_block, pw.v_block_inv))
-    if periodic_word is not None:
-        start = prefix_end
-        while start < horizon:
-            segments.append((start, periodic_word.v_block,
-                             periodic_word.v_block_inv))
-            start += periodic_word.size
-
-    if all(matrices._is_identity_block(b) for _, b, _ in segments):
+    blocks = [(b, _block_inverse(b, idx, ring)) for idx, b in enumerate(prefix)]
+    if tail is not None:
+        prefix_end = sum(len(b) for b in prefix)
+        copies = -(-max(2 * requested_window - prefix_end, 0) // len(tail))
+        blocks += [(tail, _block_inverse(tail, "tail", ring))] * copies
+    if all(matrices._is_identity_block(b) for b, _ in blocks):
         return []
-
-    # the nonzero entries of diag(1, U_1, 1, U_2, ...) and of its inverse,
-    # column by column; the segments tile [0, horizon)
-    cols, cols_inv = {}, {}
-    for s, blk, binv in segments:
-        for out, b in ((cols, blk), (cols_inv, binv)):
-            for j in range(len(b)):
-                out[s + j] = {s + i: row[j] for i, row in enumerate(b)
-                              if not row[j].is_zero()}
-    corner = SparseBlock(horizon, cols)
-    corner_inv = SparseBlock(horizon, cols_inv)
-
+    corner, corner_inv = (_sparse_diagonal([pair[side] for pair in blocks])
+                          for side in (0, 1))
     first = swindle_factorization(corner, ring, offset=0, u_inverse=corner_inv)
-    second = swindle_factorization(corner, ring, offset=horizon,
+    second = swindle_factorization(corner, ring, offset=corner.size,
                                    u_inverse=corner_inv)
-    return list(first.factors) + list(second.factors)
+    return list(first.factors + second.factors)
 
 
-def _lift_invertible(h: RingHom, inv: InvertibleColFin) -> InvertibleColFin:
-    """Lift a liftable generator together with an exact two-sided inverse.
+def _sparse_diagonal(blocks) -> SparseBlock:
+    """diag(blocks...) of dense blocks as one SparseBlock."""
+    cols, start = {}, 0
+    for b in blocks:
+        for j, col in SparseBlock.from_dense(b).cols.items():
+            cols[start + j] = {start + i: v for i, v in col.items()}
+        start += len(b)
+    return SparseBlock(start, cols)
 
-    The inverse of a lifted elementary factor is its structural negation
-    (not the entrywise section of the target inverse, which need not negate
-    under a residue-style section); permutations and sign diagonals invert
-    structurally.
-    """
-    lifted = _lift_factor(h, inv.matrix)
-    if isinstance(lifted, Elementary):
-        return InvertibleColFin(lifted, lifted.negated())
-    return InvertibleColFin(lifted, invert(lifted).inverse)
+
+def _word_pair(ring, factors) -> InvertibleColFin:
+    """The product of the paired factors in listed order, with the product
+    of their inverses in reverse order; the identity for an empty word."""
+    if not factors:
+        return InvertibleColFin(Identity(ring), Identity(ring))
+    return InvertibleColFin(
+        ProductMatrix(ring, [f.matrix for f in factors]),
+        ProductMatrix(ring, [f.inverse for f in reversed(factors)]))
 
 
 def _assemble_certificate(h, m, cert_factors, requested_window) -> LiftCertificate:
-    source = h.source
     lifted = []
     for cf in cert_factors:
         if _liftable_class(cf.inv.matrix) is None:
             raise LiftError("internal: emitted factor outside the liftable classes")
-        lifted.append(CertFactor(_lift_invertible(h, cf.inv), cf.tag))
-    if lifted:
-        lift = InvertibleColFin(
-            ProductMatrix(source, [cf.inv.matrix for cf in lifted]),
-            ProductMatrix(source, [cf.inv.inverse for cf in reversed(lifted)]))
-    else:
-        lift = InvertibleColFin(Identity(source), Identity(source))
-    cert = LiftCertificate(h, m, lift, tuple(cf.tag for cf in lifted),
-                           requested_window)
+        lifted.append(invert(_lift_factor(h, cf.inv.matrix)))
+    cert = LiftCertificate(h, m, _word_pair(h.source, lifted),
+                           tuple(cf.tag for cf in cert_factors), requested_window)
     cert.report = verify_certificate(cert, requested_window)
     if not cert.report.passed:
         raise LiftVerificationError(
@@ -875,17 +653,8 @@ def certificate_from_json(data: dict, registry) -> LiftCertificate:
     if hom.source != source or hom.target != target:
         raise LiftError("certificate rings do not match the registered hom")
     input_matrix = matrices.matrix_from_json(target, data["input"])
-    factor_invs = []
-    tags = []
-    for f in data["factors"]:
-        m = matrices.matrix_from_json(source, f["matrix"])
-        factor_invs.append(invert(m))
-        tags.append(f["tag"])
-    if factor_invs:
-        lift = InvertibleColFin(
-            ProductMatrix(source, [fi.matrix for fi in factor_invs]),
-            ProductMatrix(source, [fi.inverse for fi in reversed(factor_invs)]))
-    else:
-        lift = InvertibleColFin(Identity(source), Identity(source))
-    return LiftCertificate(hom, input_matrix, lift, tuple(tags),
+    factors = data["factors"]
+    lift = _word_pair(source, [invert(matrices.matrix_from_json(source, f["matrix"]))
+                               for f in factors])
+    return LiftCertificate(hom, input_matrix, lift, tuple(f["tag"] for f in factors),
                            int(data["verified_window"]))

@@ -33,32 +33,8 @@ class NotEventuallyPeriodicError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Index sets and bijections
+# Bijections
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FiniteIndexSet:
-    members: frozenset
-
-    def __contains__(self, j: int) -> bool:
-        return j in self.members
-
-
-@dataclass(frozen=True)
-class EventuallyPeriodicIndexSet:
-    """head holds explicit members below offset; at and beyond offset,
-    membership is (j - offset) % period in residues."""
-
-    head: frozenset
-    offset: int
-    period: int
-    residues: frozenset
-
-    def __contains__(self, j: int) -> bool:
-        if j < self.offset:
-            return j in self.head
-        return (j - self.offset) % self.period in self.residues
-
 
 @dataclass(frozen=True)
 class FinitePermutation:
@@ -153,10 +129,6 @@ class ColFinMatrix:
     def map_entries(self, h) -> "ColFinMatrix":
         raise NotImplementedError
 
-    def support_bound(self, j: int) -> int:
-        """An index B with column(j) supported in [0, B)."""
-        raise NotImplementedError
-
     def entry(self, i: int, j: int) -> RingElement:
         return self.column(j).get(i, self.ring.zero())
 
@@ -178,9 +150,6 @@ class Identity(ColFinMatrix):
 
     def map_entries(self, h):
         return Identity(h.target)
-
-    def support_bound(self, j):
-        return j + 1
 
 
 def _minimal_cycle(cycle: tuple) -> tuple:
@@ -233,9 +202,6 @@ class ScalarDiagonal(ColFinMatrix):
         return ScalarDiagonal(h.target, tuple(h.apply(d) for d in self.prefix),
                               tuple(h.apply(d) for d in self.tail_cycle))
 
-    def support_bound(self, j):
-        return j + 1
-
 
 class FinitePerturbation(ColFinMatrix):
     """diag(corner, Id) for a dense square corner."""
@@ -259,9 +225,6 @@ class FinitePerturbation(ColFinMatrix):
     def map_entries(self, h):
         return FinitePerturbation(
             h.target, [[h.apply(v) for v in row] for row in self.corner])
-
-    def support_bound(self, j):
-        return max(self.size, j + 1)
 
 
 class BlockDiagonal(ColFinMatrix):
@@ -315,10 +278,6 @@ class BlockDiagonal(ColFinMatrix):
         return BlockDiagonal(h.target, [mp(b) for b in self.prefix_blocks],
                              mp(self.tail_block) if self.tail_block else None)
 
-    def support_bound(self, j):
-        blk, start = self._locate(j)
-        return j + 1 if blk is None else start + len(blk)
-
 
 @dataclass(frozen=True)
 class ColumnFamily:
@@ -329,9 +288,6 @@ class ColumnFamily:
     start: int
     period: int
     entries: tuple  # ((rel_offset, RingElement), ...)
-
-    def covers(self, j: int) -> bool:
-        return j >= self.start and (j - self.start) % self.period == 0
 
 
 class Elementary(ColFinMatrix):
@@ -368,26 +324,6 @@ class Elementary(ColFinMatrix):
         # after validation every bucket holds exactly one family
         self._buckets = tuple((p, {r: fs[0] for r, fs in by_res.items()})
                               for p, by_res in buckets.items())
-
-    def index_set(self):
-        """J as an index-set value: finite when there are no families, else
-        eventually periodic with the families' progressions as residues."""
-        head = frozenset(self.head_cols)
-        if not self.families:
-            return FiniteIndexSet(head)
-        period = 1
-        for f in self.families:
-            period = period * f.period // math.gcd(period, f.period)
-        offset = max(f.start for f in self.families)
-        offset += (-offset) % period
-        residues = set()
-        below = set(head)
-        for f in self.families:
-            residues.update((f.start - offset) % f.period + k * f.period
-                            for k in range(period // f.period))
-            below.update(c for c in range(f.start, offset) if f.covers(c))
-        return EventuallyPeriodicIndexSet(frozenset(below), offset, period,
-                                          frozenset(residues))
 
     def _validate(self, buckets):
         """Rows of every column avoid the column set J.  Linear in the
@@ -469,16 +405,6 @@ class Elementary(ColFinMatrix):
                           tuple((o, h.apply(v)) for o, v in f.entries))
              for f in self.families])
 
-    def support_bound(self, j):
-        bound = j + 1
-        col = self.head_cols.get(j)
-        if col:
-            bound = max(bound, max(col) + 1)
-        for fam in self.families:
-            if fam.covers(j):
-                bound = max(bound, max(j + off for off, _ in fam.entries) + 1)
-        return bound
-
 
 class Permutation(ColFinMatrix):
     """Sends basis vector e_j to e_{sigma(j)}; entries are 0 and 1."""
@@ -497,9 +423,6 @@ class Permutation(ColFinMatrix):
 
     def map_entries(self, h):
         return Permutation(h.target, self.bijection)
-
-    def support_bound(self, j):
-        return self.bijection(j) + 1
 
 
 class ProductMatrix(ColFinMatrix):
@@ -536,12 +459,6 @@ class ProductMatrix(ColFinMatrix):
 
     def map_entries(self, h):
         return ProductMatrix(h.target, [f.map_entries(h) for f in self.factors])
-
-    def support_bound(self, j):
-        bound = j + 1
-        for f in reversed(self.factors):
-            bound = max(f.support_bound(k) for k in range(bound))
-        return bound
 
 
 # ---------------------------------------------------------------------------

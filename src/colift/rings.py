@@ -193,20 +193,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _prime_factors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Ring elements
 # ---------------------------------------------------------------------------
@@ -382,10 +368,6 @@ def _ext_gcd(a: int, b: int):
     return old_r, old_s, old_t
 
 
-def _is_nilpotent_mod(c: int, m: int) -> bool:
-    return all(c % p == 0 for p in _prime_factors(m))
-
-
 def is_unit(x: RingElement) -> Optional[RingElement]:
     """Return the inverse of x if x is a unit, else None.
 
@@ -419,8 +401,10 @@ def is_unit(x: RingElement) -> Optional[RingElement]:
             inv0 = _inverse_mod(c0, r.coeff_modulus)
             if inv0 is None:
                 return None
-            if not all(_is_nilpotent_mod(c, r.coeff_modulus)
-                       for k, c in x.payload if k != zero_key):
+            # c is nilpotent mod m iff c^e = 0 for e >= every prime
+            # exponent of m, and those are below m.bit_length()
+            m = r.coeff_modulus
+            if any(pow(c, m.bit_length(), m) for k, c in x.payload if k != zero_key):
                 return None
             # Newton iteration; converges because 1 - x*g is nilpotent.
             g = r.from_int(inv0)

@@ -257,6 +257,24 @@ def test_lift_unknown_hom_exits_2(udiag_file, capsys):
     assert code == 2
 
 
+def test_lift_along_a_hom_whose_section_breaks_exits_2(tmp_path, udiag_file,
+                                                     monkeypatch, capsys):
+    """x -> u^2 under laurent_monomial: the section of u maps to u^2, which
+    the registry refuses on load, before any lift runs."""
+    homs = tmp_path / "homs.json"
+    homs.write_text(json.dumps({"sq": {
+        "source": {"kind": "polynomial", "vars": ["x", "y"], "coeff": "Z"},
+        "target": LAURENT, "images": {"x": "u^2", "y": "u^-1"},
+        "section": "laurent_monomial"}}), encoding="utf-8")
+    lifts = []
+    monkeypatch.setattr(cli, "gl_lift", lambda *a: lifts.append(a))
+    code, _, stderr = run_cli(["lift", "--hom", "sq", "--homs", str(homs),
+                               "--matrix", str(udiag_file)], capsys)
+    assert code == 2
+    assert "sq" in stderr and "lifts u " in stderr
+    assert lifts == []
+
+
 def test_lift_bad_json_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from colift.homs import HomRegistry, SectionError, RingHom, hom_apply, hom_section
-from colift.rings import parse_element, residue, integers
+from colift.homs import hom_from_json
+from colift.rings import RingError, parse_element, residue, integers
 
 REG = HomRegistry.builtin()
 FLAGSHIP = REG.get("zxy_to_laurent")
@@ -107,3 +108,31 @@ def test_registry_from_file_roundtrip(tmp_path):
     assert h.section_rule == FLAGSHIP.section_rule
     with pytest.raises(KeyError):
         reg.get("missing")
+
+
+def test_builtin_registry_passes_the_section_check():
+    reg = HomRegistry.builtin()
+    assert reg.names() == ["z_to_z101", "z_to_z5", "z_to_z7", "zxy_to_laurent"]
+
+
+LAURENT_SPEC = {"source": {"kind": "polynomial", "vars": ["x", "y"], "coeff": "Z"},
+                "target": {"kind": "laurent", "var": "u", "coeff": "Z"},
+                "section": "laurent_monomial"}
+
+
+@pytest.mark.parametrize("images, generator", [
+    ({"x": "u^2", "y": "u^-1"}, "u"),
+    ({"x": "u", "y": "u^-2"}, "u^-1"),
+    ({"x": "u", "y": "u"}, "u^-1"),
+])
+def test_hom_whose_section_breaks_is_refused_on_load(images, generator):
+    with pytest.raises(RingError) as info:
+        hom_from_json("bad", dict(LAURENT_SPEC, images=images))
+    assert "hom bad" in str(info.value)
+    assert f"lifts {generator} " in str(info.value)
+
+
+def test_hom_whose_rule_cannot_lift_is_refused_on_load():
+    spec = {"source": "Z", "target": "Z/5", "section": "laurent_monomial"}
+    with pytest.raises(RingError, match="hom bad.*cannot lift 1"):
+        hom_from_json("bad", spec)

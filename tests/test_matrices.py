@@ -255,8 +255,7 @@ def test_column_finiteness_and_support_bounds(ring):
         for _ in range(50):
             j = rng.randrange(24)
             col = matrices.column(m, j)
-            bound = m.support_bound(j)
-            assert all(0 <= i < bound for i in col)
+            assert all(i >= 0 for i in col)
             assert len(col) < 10_000
         cases += 1
 
@@ -348,21 +347,6 @@ def test_matrix_json_roundtrip():
             data = matrix_to_json(m)
             back = matrix_from_json(ring, data)
             assert window(back, 12) == window(m, 12)
-
-
-def test_elementary_index_set_finite():
-    e = Elementary(Z, {0: {1: Z.one()}, 4: {2: Z.one()}})
-    j = e.index_set()
-    assert isinstance(j, matrices.FiniteIndexSet)
-    assert 0 in j and 4 in j and 1 not in j
-
-
-def test_elementary_index_set_periodic():
-    fam = ColumnFamily(1, 2, ((1, Z.one()),))
-    e = Elementary(Z, {}, [fam])
-    j = e.index_set()
-    for idx in range(30):
-        assert (idx in j) == (idx >= 1 and (idx - 1) % 2 == 0)
 
 
 def test_index_bijection_forward_inverse_on_window():

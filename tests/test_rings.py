@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -86,6 +89,47 @@ def test_unit_polynomial_composite_modulus_nilpotent_tail():
     f = P4.one() + P4.from_int(2) * P4.variable("x")
     inv = is_unit(f)
     assert inv is not None and f * inv == P4.one()
+
+
+def test_unit_polynomial_over_a_large_prime_modulus_is_decided_fast():
+    """1 + x is not a unit over Z/(2^61-1)[x]; deciding that must not factor
+    the modulus."""
+    P = polynomial(["x"], residue(2**61 - 1))
+    start = time.perf_counter()
+    assert is_unit(P.one() + P.variable("x")) is None
+    assert time.perf_counter() - start < 1.0
+
+
+def _trial_division_primes(m):
+    out, d = [], 2
+    while d * d <= m:
+        if m % d == 0:
+            out.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1
+    return out + ([m] if m > 1 else [])
+
+
+def test_unit_polynomial_nilpotent_tails_match_trial_division():
+    """1 + c*x over Z/m[x] is a unit exactly when c is nilpotent mod m, that
+    is, divisible by every prime factor of m (for m < 1000)."""
+    rng = random.Random(29)
+    for m in range(2, 1000):
+        P = polynomial(["x"], residue(m))
+        radical = 1
+        for p in _trial_division_primes(m):
+            radical *= p
+        cs = set(range(1, m)) if m < 40 else \
+            {rng.randrange(1, m) for _ in range(8)} | \
+            {radical * rng.randrange(1, m // radical + 1) % m for _ in range(4)}
+        for c in cs - {0}:
+            f = P.one() + P.from_int(c) * P.variable("x")
+            nilpotent = c % radical == 0
+            inv = is_unit(f)
+            assert (inv is not None) == nilpotent, (m, c)
+            if inv is not None:
+                assert f * inv == P.one()
 
 
 def test_unit_laurent_over_prime_field():
