@@ -93,8 +93,8 @@ def _cmd_verify(args) -> int:
     registry = _load_registry(args.homs)
     with open(args.certificate, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    hash_ok = data.get("content_hash") == lifting._content_hash(data)
     cert = certificate_from_json(data, registry)
+    hash_ok = data.get("content_hash") == lifting._content_hash(data)
     report = verify_certificate(cert, args.window)
     if args.format == "json":
         out = report.to_json()

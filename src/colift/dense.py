@@ -1,18 +1,21 @@
 """Exact dense linear algebra over a ring, for small square blocks.
 
-Inversion goes through the adjugate, which needs no division until the
-final multiplication by the inverse of the determinant; this is exact over
-every supported ring but is exponential in the block size, so non-diagonal
-blocks are capped at a desk-scale bound.  Diagonal blocks invert entrywise
-at any size.
+Determinants come from Berkowitz's division-free characteristic polynomial
+(S. J. Berkowitz, IPL 18, 1984): O(n^4) ring operations, exact over every
+supported ring, zero divisors included.  The inverse is the Cayley-Hamilton
+adjugate times the inverse of the determinant, the only division.
+Non-diagonal blocks are capped at MAX_ADJUGATE_SIZE, which bounds the work
+on hostile inputs; diagonal blocks invert entrywise at any size.
 """
 
 from __future__ import annotations
 
+from math import isqrt
+
 from . import rings
 from .rings import RingDescriptor, RingElement
 
-MAX_ADJUGATE_SIZE = 14
+MAX_ADJUGATE_SIZE = 32
 
 
 class NonInvertibleError(Exception):
@@ -45,64 +48,76 @@ def identity(ring: RingDescriptor, n: int):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
+def _dot(u, v, zero):
+    """Sum of u[i] * v[i] over the shorter of u and v, skipping zeros."""
+    acc = zero
+    for x, y in zip(u, v):
+        if not x.is_zero() and not y.is_zero():
+            acc = acc + x * y
+    return acc
+
+
 def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
     zero = a[0][0].ring.zero()
-    out = []
-    for i in range(n):
-        row = []
-        ai = a[i]
-        for j in range(m):
-            acc = zero
-            for t in range(k):
-                if not ai[t].is_zero() and not b[t][j].is_zero():
-                    acc = acc + ai[t] * b[t][j]
-            row.append(acc)
-        out.append(row)
+    cols = list(zip(*b))
+    return [[_dot(row, col, zero) for col in cols] for row in a]
+
+
+def _char_poly(a):
+    """Coefficients [1, c1, ..., cn] of det(xI - A), by Berkowitz: bordering
+    the leading r x r block M by the column C, the row R and the entry d
+    multiplies its coefficients by the lower-triangular Toeplitz matrix with
+    first column (1, -d, -RC, -RMC, ..., -RM^(r-1)C)."""
+    ring = a[0][0].ring
+    zero, poly = ring.zero(), [ring.one()]
+    for r in range(len(a)):
+        toeplitz, v = [ring.one(), -a[r][r]], [a[i][r] for i in range(r)]
+        for k in range(r):
+            if k:       # zip stops at len(v) == r: row a[i] acts as row i of M
+                v = [_dot(a[i], v, zero) for i in range(r)]
+            toeplitz.append(-_dot(a[r], v, zero))
+        poly = [_dot(toeplitz[i::-1], poly, zero) for i in range(r + 2)]
+    return poly
+
+
+def _matrix_poly(coeffs, a):
+    """Sum of coeffs[k] * A^k by Paterson and Stockmeyer: Horner in A^s over
+    chunks of s ~ sqrt(len(coeffs)) coefficients, about 2s block products."""
+    n, zero = len(a), a[0][0].ring.zero()
+    s = isqrt(len(coeffs) - 1) + 1
+    powers = [identity(zero.ring, n), a]
+    while len(powers) <= s:
+        powers.append(mat_mul(powers[-1], a))
+    out = [[zero] * n for _ in range(n)]
+    for start in reversed(range(0, len(coeffs), s)):
+        if start + s < len(coeffs):
+            out = mat_mul(out, powers[s])
+        for c, power in zip(coeffs[start:start + s], powers):
+            out = [[o if v.is_zero() else o + c * v for o, v in zip(row, prow)]
+                   for row, prow in zip(out, power)]
     return out
 
 
-def mat_eq(a, b) -> bool:
-    return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
-
-
 def determinant(a) -> RingElement:
-    """Determinant by expansion along remaining rows, memoized on column sets."""
+    """Determinant (-1)^n * cn of an n x n block, n >= 1, from Berkowitz's
+    characteristic polynomial."""
     n = len(a)
     if n == 0:
         raise ValueError("empty matrix")
     _check_size(n)
-    ring = a[0][0].ring
-    return _det_rows(a, tuple(range(n)), tuple(range(n)), {}, ring)
-
-
-def _det_rows(a, row_idx, col_idx, memo, ring):
-    if not row_idx:
-        return ring.one()
-    key = (row_idx, col_idx)
-    if key in memo:
-        return memo[key]
-    i = row_idx[0]
-    rest_rows = row_idx[1:]
-    acc = ring.zero()
-    sign = 1
-    for pos, j in enumerate(col_idx):
-        entry = a[i][j]
-        if not entry.is_zero():
-            sub = _det_rows(a, rest_rows, col_idx[:pos] + col_idx[pos + 1:], memo, ring)
-            term = entry * sub
-            acc = acc + (term if sign > 0 else -term)
-        sign = -sign
-    memo[key] = acc
-    return acc
+    c = _char_poly(a)[n]
+    return c if n % 2 == 0 else -c
 
 
 def adjugate_inverse(a, block_index=None):
     """Exact inverse of a square block whose determinant is a unit.
 
     A diagonal block is inverted entrywise, at any size; a 0x0 block is its
-    own inverse.  Raises NonInvertibleError (carrying the determinant or the
-    offending diagonal entry, and the block index) otherwise.
+    own inverse.  Any other block is inverted through Cayley-Hamilton,
+    adj(A) = (-1)^(n-1) (A^(n-1) + c1 A^(n-2) + ... + c(n-1) I), times the
+    inverse of the determinant.  Raises NonInvertibleError (carrying the
+    determinant or the offending diagonal entry, and the block index)
+    otherwise.
     """
     n = len(a)
     if n == 0:
@@ -120,21 +135,13 @@ def adjugate_inverse(a, block_index=None):
             out[i][i] = v
         return out
     _check_size(n, block_index)
-    det = determinant(a)
+    poly = _char_poly(a)
+    det = poly[n] if n % 2 == 0 else -poly[n]
     det_inv = rings.is_unit(det)
     if det_inv is None:
         raise NonInvertibleError(
             f"determinant {rings.render(det)} is not a unit of {ring}{where}",
             det=det, block_index=block_index)
-    memo = {}
-    rows = tuple(range(n))
-    cols = tuple(range(n))
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        sub_rows = rows[:i] + rows[i + 1:]
-        for j in range(n):
-            sub_cols = cols[:j] + cols[j + 1:]
-            minor = _det_rows(a, sub_rows, sub_cols, memo, ring)
-            cof = minor if (i + j) % 2 == 0 else -minor
-            out[j][i] = cof * det_inv        # adjugate transposes indices
-    return out
+    adj = _matrix_poly(poly[n - 1::-1], a)
+    scale = det_inv if n % 2 == 1 else -det_inv      # (-1)^(n-1) / det
+    return [[v * scale for v in row] for row in adj]

@@ -218,7 +218,10 @@ def whitehead_word(block_a, block_b, ring: RingDescriptor) -> ElementaryWord:
     k = len(block_a)
     if len(block_b) != k:
         raise LiftError("blocks must have equal size")
-    dense.adjugate_inverse(block_a)          # invertibility check
+    det_a = dense.determinant(block_a) if k else ring.one()
+    if rings.is_unit(det_a) is None:
+        raise dense.NonInvertibleError(
+            f"determinant {rings.render(det_a)} is not a unit of {ring}", det=det_a)
     b_inv = dense.adjugate_inverse(block_b)
     ops = _block_operations(ring, *map(SparseBlock.from_dense,
                                        (block_a, block_b, b_inv)))
@@ -304,13 +307,12 @@ def _as_blocks(m: ColFinMatrix):
              for i in range(len(cycle))]
         return prefix, tail
     if isinstance(m, FinitePerturbation):
-        return ([list(map(list, m.corner))] if m.size else []), None
+        return ([m.corner] if m.size else []), None
     if isinstance(m, BlockDiagonal):
-        prefix = [list(map(list, b)) for b in m.prefix_blocks]
-        tail = (list(map(list, m.tail_block))
-                if m.tail_block is not None and not matrices._is_identity_block(m.tail_block)
-                else None)
-        return prefix, tail
+        tail = m.tail_block
+        if tail is not None and matrices._is_identity_block(tail):
+            tail = None
+        return list(m.prefix_blocks), tail
     raise UnsupportedMatrixError(
         f"form {m.form!r} is not in the supported lifting classes "
         "(finite perturbation, unit scalar diagonal, invertible block "
@@ -647,13 +649,16 @@ def _content_hash(body: dict) -> str:
 
 
 def certificate_from_json(data: dict, registry) -> LiftCertificate:
+    factors = data.get("factors") if isinstance(data, dict) else None
+    if not isinstance(factors, list) or not all(isinstance(f, dict) for f in factors):
+        raise ValueError("a certificate is a JSON object whose 'factors' is a "
+                         "list of objects")
     hom = registry.get(data["hom"])
     source = rings.descriptor_from_json(data["source_ring"])
     target = rings.descriptor_from_json(data["target_ring"])
     if hom.source != source or hom.target != target:
         raise LiftError("certificate rings do not match the registered hom")
     input_matrix = matrices.matrix_from_json(target, data["input"])
-    factors = data["factors"]
     lift = _word_pair(source, [invert(matrices.matrix_from_json(source, f["matrix"]))
                                for f in factors])
     return LiftCertificate(hom, input_matrix, lift, tuple(f["tag"] for f in factors),

@@ -479,13 +479,7 @@ def window(m: ColFinMatrix, n: int):
     """
     if n < 1:
         raise ValueError("window size must be >= 1")
-    zero = m.ring.zero()
-    out = [[zero] * n for _ in range(n)]
-    for j in range(n):
-        for i, v in m.column(j).items():
-            if i < n:
-                out[i][j] = v
-    return out
+    return window_slice(m, 0, n)
 
 
 def window_rendered(m: ColFinMatrix, n: int):
@@ -524,24 +518,14 @@ def multiply(a: ColFinMatrix, b: ColFinMatrix) -> ColFinMatrix:
         return _normalize(ScalarDiagonal(a.ring, prefix, tail))
     if isinstance(a, FinitePerturbation) and isinstance(b, FinitePerturbation):
         n = max(a.size, b.size)
-        ca = _pad_corner(a, n)
-        cb = _pad_corner(b, n)
-        return _normalize(FinitePerturbation(a.ring, dense.mat_mul(ca, cb)))
+        return _normalize(FinitePerturbation(
+            a.ring, dense.mat_mul(window(a, n), window(b, n))))
     da, db = _diag_profile(a), _diag_profile(b)
     if da is not None and db is not None:
         fused = _fuse_diagonal(a, b, da, db)
         if fused is not None:
             return fused
     return ProductMatrix(a.ring, [a, b])
-
-
-def _pad_corner(f: FinitePerturbation, n: int):
-    ring = f.ring
-    out = dense.identity(ring, n)
-    for i in range(f.size):
-        for j in range(f.size):
-            out[i][j] = f.corner[i][j]
-    return out
 
 
 def _diag_profile(m: ColFinMatrix):
@@ -597,16 +581,7 @@ def _fuse_diagonal(a, b, da, db) -> Optional[ColFinMatrix]:
 
 
 def _is_identity_block(blk) -> bool:
-    n = len(blk)
-    for i in range(n):
-        for j in range(n):
-            v = blk[i][j]
-            if i == j:
-                if not v.is_one():
-                    return False
-            elif not v.is_zero():
-                return False
-    return True
+    return all(v == int(i == j) for i, row in enumerate(blk) for j, v in enumerate(row))
 
 
 def _normalize(m: ColFinMatrix) -> ColFinMatrix:
@@ -646,8 +621,7 @@ class InvertibleColFin:
         left = multiply(self.matrix, self.inverse)
         right = multiply(self.inverse, self.matrix)
         ident = window(Identity(self.matrix.ring), n)
-        return (dense.mat_eq(window(left, n), ident)
-                and dense.mat_eq(window(right, n), ident))
+        return window(left, n) == ident and window(right, n) == ident
 
     def swapped(self) -> "InvertibleColFin":
         return InvertibleColFin(self.inverse, self.matrix)
@@ -739,7 +713,7 @@ def eq_eventually_periodic(a: ColFinMatrix, b: ColFinMatrix) -> bool:
     pa, pb = pa or 1, pb or 1
     size = max(oa, ob) + 2 * (pa * pb // math.gcd(pa, pb))
     size = max(size, 1)
-    return dense.mat_eq(window(na, size), window(nb, size))
+    return window(na, size) == window(nb, size)
 
 
 # ---------------------------------------------------------------------------
@@ -786,6 +760,8 @@ def matrix_to_json(m: ColFinMatrix) -> dict:
 
 
 def matrix_from_json(ring: RingDescriptor, data: dict) -> ColFinMatrix:
+    if not isinstance(data, dict):
+        raise MatrixFormError(f"a matrix is a JSON object, got {data!r:.40}")
     form = data.get("form")
     parse = lambda s: rings.parse_element(ring, s)
     if form == "identity":

@@ -563,6 +563,11 @@ def _render_monomial(r: RingDescriptor, key) -> str:
 # Parsing
 # ---------------------------------------------------------------------------
 
+# Parentheses nest at most this deep: each level costs the parser four
+# stack frames, and deeper input would overflow the recursion limit.
+MAX_NESTING_DEPTH = 100
+
+
 class _Parser:
     """Recursive descent over: integers, variables, + - * ^ and parentheses.
 
@@ -573,6 +578,7 @@ class _Parser:
         self.ring = ring
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def parse(self) -> RingElement:
         value = self.expr()
@@ -636,11 +642,15 @@ class _Parser:
             raise ParseError("unexpected end of input", self.pos)
         ch = self.text[self.pos]
         if ch == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING_DEPTH:
+                raise ParseError(f"nesting deeper than {MAX_NESTING_DEPTH}", self.pos)
             self.pos += 1
             value = self.expr()
             if self.peek() != ")":
                 raise ParseError("expected ')'", self.pos)
             self.pos += 1
+            self.depth -= 1
             return None, value
         if ch.isdigit():
             start = self.pos

@@ -11,6 +11,8 @@ import pytest
 import colift
 from colift import cli, dense, lifting, rings, skolem
 
+from conftest import random_invertible_mod
+
 
 def run_cli(args, capsys):
     code = cli.main(args)
@@ -69,7 +71,7 @@ def _write(path, ring, matrix):
 
 
 def test_lift_block_over_the_dense_cap_exits_3(tmp_path, capsys):
-    n = 16              # unit upper bidiagonal, invertible over Z/101
+    n = 33              # unit upper bidiagonal, invertible over Z/101
     corner = [["1" if i == j else "1" if j == i + 1 else "0"
                for j in range(n)] for i in range(n)]
     path = _write(tmp_path / "big.json", "Z/101",
@@ -77,7 +79,24 @@ def test_lift_block_over_the_dense_cap_exits_3(tmp_path, capsys):
     code, _, stderr = run_cli(["lift", "--hom", "z_to_z101",
                                "--matrix", str(path), "--window", "16"], capsys)
     assert code == 3
-    assert "block 0" in stderr and "16x16" in stderr
+    assert "block 0" in stderr and "33x33" in stderr
+
+
+def test_lift_and_verify_a_16x16_tail_block(tmp_path, capsys):
+    """A non-diagonal 16x16 tail block, over the old 14x14 cap, lifts and
+    verifies at window 16."""
+    block = random_invertible_mod(rings.residue(101), 16, random.Random(16))
+    tail = [[rings.render(v) for v in row] for row in block]
+    path = _write(tmp_path / "tail16.json", "Z/101",
+                  {"form": "block_diagonal", "prefix": [[["3"]]], "tail": tail})
+    cert = tmp_path / "cert.json"
+    code, stdout, _ = run_cli(["lift", "--hom", "z_to_z101", "--matrix",
+                               str(path), "--window", "16", "--out", str(cert)],
+                              capsys)
+    assert code == 0 and "PASS" in stdout
+    code, stdout, _ = run_cli(["verify", "--certificate", str(cert),
+                               "--window", "16"], capsys)
+    assert code == 0 and "PASS" in stdout
 
 
 def test_lift_inverts_a_10x10_corner_once(tmp_path, capsys, monkeypatch):
@@ -153,7 +172,7 @@ def test_verify_zero_size_factors(tmp_path, capsys, matrix, expected):
 
 
 def test_verify_block_over_the_dense_cap_exits_3(tmp_path, capsys):
-    """A certificate factor with a non-diagonal 16x16 block is outside the
+    """A certificate factor with a non-diagonal 33x33 block is outside the
     dense cap: exit 3, as for `lift`."""
     path = _write(tmp_path / "id.json", "Z/5", {"form": "identity"})
     cert = tmp_path / "cert.json"
@@ -161,7 +180,8 @@ def test_verify_block_over_the_dense_cap_exits_3(tmp_path, capsys):
                           "--window", "16", "--out", str(cert)], capsys)
     assert code == 0
     data = json.loads(cert.read_text(encoding="utf-8"))
-    block = [[str(int(c in (r, r + 1))) for c in range(16)] for r in range(16)]
+    n = 33
+    block = [[str(int(c in (r, r + 1))) for c in range(n)] for r in range(n)]
     data["factors"].append({"tag": "generator", "side": "L", "matrix": {
         "form": "block_diagonal", "prefix": [block], "tail": None}})
     data["content_hash"] = lifting._content_hash(data)
@@ -169,7 +189,7 @@ def test_verify_block_over_the_dense_cap_exits_3(tmp_path, capsys):
     code, _, stderr = run_cli(["verify", "--certificate", str(cert),
                                "--window", "16"], capsys)
     assert code == 3
-    assert "14x14" in stderr
+    assert "32x32" in stderr
 
 
 def _lift_and_verify(tmp_path, capsys, hom, path):
@@ -314,6 +334,56 @@ def test_verify_detects_tampering(tmp_path, udiag_file, capsys):
     code, _, _ = run_cli(["verify", "--certificate", str(out),
                           "--window", "16"], capsys)
     assert code == 4
+
+
+def _flagship_certificate(tmp_path, udiag_file, capsys):
+    out = tmp_path / "cert.json"
+    run_cli(["lift", "--hom", "zxy_to_laurent", "--matrix", str(udiag_file),
+             "--window", "16", "--out", str(out)], capsys)
+    return out, json.loads(out.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("change, field", [
+    (lambda d: [d], "factors"),
+    (lambda d: {**d, "factors": 5}, "factors"),
+    (lambda d: {**d, "factors": ["x"]}, "factors"),
+    (lambda d: {k: v for k, v in d.items() if k != "factors"}, "factors"),
+    (lambda d: {**d, "input": 5}, "matrix"),
+    (lambda d: {**d, "factors": [{"tag": "swindle", "side": "L", "matrix": 5}]},
+     "matrix"),
+], ids=["list", "factors-int", "factor-str", "factors-missing", "input-int",
+        "factor-matrix-int"])
+def test_verify_malformed_certificate_shape_exits_2(tmp_path, udiag_file,
+                                                    capsys, change, field):
+    out, data = _flagship_certificate(tmp_path, udiag_file, capsys)
+    out.write_text(json.dumps(change(data)), encoding="utf-8")
+    code, _, stderr = run_cli(["verify", "--certificate", str(out),
+                               "--window", "16"], capsys)
+    assert code == 2
+    assert field in stderr
+
+
+DEEP = "(" * 5000 + "u" + ")" * 5000
+
+
+def test_lift_deeply_nested_expression_exits_2(tmp_path, capsys):
+    path = _write(tmp_path / "deep.json", LAURENT,
+                  {"form": "scalar_diagonal", "prefix": [], "tail": DEEP})
+    code, _, stderr = run_cli(["lift", "--hom", "zxy_to_laurent",
+                               "--matrix", str(path), "--window", "16"], capsys)
+    assert code == 2
+    assert f"nesting deeper than {rings.MAX_NESTING_DEPTH}" in stderr
+
+
+def test_verify_deeply_nested_input_exits_2(tmp_path, udiag_file, capsys):
+    out, data = _flagship_certificate(tmp_path, udiag_file, capsys)
+    data["input"]["tail"] = DEEP
+    data["content_hash"] = lifting._content_hash(data)
+    out.write_text(json.dumps(data), encoding="utf-8")
+    code, _, stderr = run_cli(["verify", "--certificate", str(out),
+                               "--window", "16"], capsys)
+    assert code == 2
+    assert f"nesting deeper than {rings.MAX_NESTING_DEPTH}" in stderr
 
 
 def test_certificate_bytes_deterministic(tmp_path, udiag_file, capsys):

@@ -145,6 +145,28 @@ def test_whitehead_integer_blocks():
     assert int_window(out, 6)[2:] == int_window(Identity(Z), 6)[2:]
 
 
+def test_whitehead_checks_a_by_its_determinant_alone(monkeypatch):
+    """A is checked through its determinant, never inverted; a singular A
+    raises the NonInvertibleError that inverting it would raise."""
+    a, b = ints(Z7, [[1, 2], [2, 4]]), ints(Z7, [[1, 1], [0, 1]])
+    with pytest.raises(dense.NonInvertibleError) as expected:
+        dense.adjugate_inverse(a)
+    inverted = []
+    real = dense.adjugate_inverse
+
+    def counting(blk, block_index=None):
+        inverted.append(blk)
+        return real(blk, block_index=block_index)
+
+    monkeypatch.setattr(dense, "adjugate_inverse", counting)
+    with pytest.raises(dense.NonInvertibleError) as info:
+        whitehead_word(a, b, Z7)
+    assert str(info.value) == str(expected.value) == "determinant 0 is not a unit of Z/7"
+    assert info.value.det == expected.value.det
+    whitehead_word(b, b, Z7)
+    assert inverted == [b]
+
+
 def test_whitehead_sidedness_tags():
     word = whitehead_word(ints(Z, [[1]]), ints(Z, [[1]]), Z)
     assert [s.side for s in word.steps] == ["R", "R", "R", "R", "L"]
