@@ -16,7 +16,7 @@ import sys
 
 from . import cohomology, lifting, matrices, rings, skolem
 from .dense import DenseSizeError, NonInvertibleError
-from .homs import HomRegistry, SectionError
+from .homs import HomRegistry, SectionError, read_json
 from .lifting import (LiftError, UnsupportedMatrixError, certificate_from_json,
                       certificate_to_json, gl_lift, verify_certificate)
 from .matrices import MatrixFormError
@@ -38,8 +38,7 @@ def _load_registry(path):
 
 
 def _load_matrix(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = read_json(path)
     ring = rings.descriptor_from_json(data["ring"])
     return ring, matrices.matrix_from_json(ring, data["matrix"])
 
@@ -91,8 +90,7 @@ def _cmd_lift(args) -> int:
 
 def _cmd_verify(args) -> int:
     registry = _load_registry(args.homs)
-    with open(args.certificate, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = read_json(args.certificate)
     cert = certificate_from_json(data, registry)
     hash_ok = data.get("content_hash") == lifting._content_hash(data)
     report = verify_certificate(cert, args.window)
@@ -109,8 +107,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_skolem(args) -> int:
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        spec = skolem.spec_from_json(json.load(fh))
+    spec = skolem.spec_from_json(read_json(args.spec))
     report = skolem.validate_auto_spec(spec)
     conj = None
     error = None

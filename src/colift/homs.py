@@ -182,6 +182,16 @@ def hom_to_json(h: RingHom) -> dict:
     }
 
 
+def read_json(path):
+    """Load a user-supplied JSON file.  Nesting too deep for the decoder is a
+    ValueError naming the file, not a RecursionError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None
+
+
 class HomRegistry:
     """Named homs loaded from a homs.json file."""
 
@@ -190,8 +200,7 @@ class HomRegistry:
 
     @classmethod
     def from_file(cls, path) -> "HomRegistry":
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        raw = read_json(path)
         return cls({name: hom_from_json(name, spec) for name, spec in raw.items()})
 
     @classmethod

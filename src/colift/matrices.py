@@ -612,16 +612,10 @@ def _normalize(m: ColFinMatrix) -> ColFinMatrix:
 
 @dataclass(frozen=True)
 class InvertibleColFin:
-    """A matrix paired with a two-sided inverse; checked on windows."""
+    """A matrix paired with its two-sided inverse."""
 
     matrix: ColFinMatrix
     inverse: ColFinMatrix
-
-    def verify_window(self, n: int) -> bool:
-        left = multiply(self.matrix, self.inverse)
-        right = multiply(self.inverse, self.matrix)
-        ident = window(Identity(self.matrix.ring), n)
-        return window(left, n) == ident and window(right, n) == ident
 
     def swapped(self) -> "InvertibleColFin":
         return InvertibleColFin(self.inverse, self.matrix)
@@ -799,6 +793,11 @@ def matrix_from_json(ring: RingDescriptor, data: dict) -> ColFinMatrix:
                                            tuple(data["residues"]))
         return Permutation(ring, bij)
     if form == "product":
-        return ProductMatrix(ring, [matrix_from_json(ring, f)
-                                    for f in data["factors"]])
+        try:
+            factors = [matrix_from_json(ring, f) for f in data["factors"]]
+        except RecursionError:
+            # a JSON decoder allowed deeper C recursion than Python's limit
+            # hands over products nested past that limit
+            raise MatrixFormError("product forms nested too deeply") from None
+        return ProductMatrix(ring, factors)
     raise MatrixFormError(f"unknown matrix form {form!r}")

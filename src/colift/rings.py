@@ -248,7 +248,7 @@ class RingElement:
 
     def _coerce(self, other):
         if isinstance(other, RingElement):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise RingError(f"ring mismatch: {self.ring} vs {other.ring}")
             return other
         if isinstance(other, int):
@@ -323,7 +323,8 @@ class RingElement:
             other = self.ring.from_int(other)
         if not isinstance(other, RingElement):
             return NotImplemented
-        return self.ring == other.ring and self.payload == other.payload
+        return (self.ring is other.ring or self.ring == other.ring) \
+            and self.payload == other.payload
 
     def __hash__(self):
         if self._hash is None:

@@ -2,7 +2,8 @@
 
 from colift.matrices import (BlockDiagonal, ColumnFamily, Elementary,
                              FinitePermutation, FinitePerturbation, Identity,
-                             MatrixFormError, Permutation, ScalarDiagonal)
+                             MatrixFormError, Permutation, ScalarDiagonal,
+                             multiply, window)
 
 
 def random_element(ring, rng):
@@ -73,3 +74,12 @@ def random_invertible_mod(ring, k, rng):
               else ring.zero()
               for j in range(k)] for i in range(k)]
     return dense.mat_mul(lower, upper)
+
+
+def two_sided_on_window(matrix, inverse, n):
+    """The windowed oracle for a paired inverse: matrix * inverse and
+    inverse * matrix both equal the identity on the top-left n x n window,
+    computed column by column."""
+    ident = window(Identity(matrix.ring), n)
+    return all(window(multiply(a, b), n) == ident
+               for a, b in ((matrix, inverse), (inverse, matrix)))

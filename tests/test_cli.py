@@ -386,6 +386,46 @@ def test_verify_deeply_nested_input_exits_2(tmp_path, udiag_file, capsys):
     assert f"nesting deeper than {rings.MAX_NESTING_DEPTH}" in stderr
 
 
+DEEP_ARRAY = "[" * 100_000 + "]" * 100_000
+DEEP_PRODUCT = ('{"form": "product", "factors": [' * 3000 + '{"form": "identity"}'
+                + "]}" * 3000)
+
+
+@pytest.mark.parametrize("command, nest", [
+    ("lift", DEEP_ARRAY), ("lift", DEEP_PRODUCT),
+    ("verify", DEEP_ARRAY), ("verify", DEEP_PRODUCT),
+    ("skolem", DEEP_ARRAY), ("homs", DEEP_ARRAY),
+], ids=["lift-array", "lift-product", "verify-array", "verify-product",
+        "skolem-array", "homs-array"])
+def test_deeply_nested_json_exits_2(tmp_path, udiag_file, capsys, command, nest):
+    """JSON nested past the decoder's recursion limit, in any file the CLI
+    reads, is an input error: exit 2, no traceback."""
+    deep = tmp_path / "deep.json"
+    if command == "lift":
+        deep.write_text('{"ring": "Z/5", "matrix": ' + nest + "}", encoding="utf-8")
+        argv = ["lift", "--hom", "z_to_z5", "--matrix", str(deep)]
+    elif command == "verify":
+        _, data = _flagship_certificate(tmp_path, udiag_file, capsys)
+        text = json.dumps({**data, "factors": "NEST"})
+        deep.write_text(text.replace(
+            '"NEST"', '[{"tag": "swindle", "side": "L", "matrix": ' + nest + "}]"),
+            encoding="utf-8")
+        argv = ["verify", "--certificate", str(deep)]
+    elif command == "skolem":
+        deep.write_text('{"n": 1, "ring": "Z/5", "images": ' + nest + "}",
+                        encoding="utf-8")
+        argv = ["skolem", "recover", "--spec", str(deep)]
+    else:
+        deep.write_text('{"h": ' + nest + "}", encoding="utf-8")
+        argv = ["lift", "--hom", "h", "--homs", str(deep),
+                "--matrix", str(udiag_file)]
+    code, _, stderr = run_cli(argv + ["--window", "16"] * (command != "skolem"),
+                              capsys)
+    assert code == 2
+    assert "Traceback" not in stderr
+    assert "nested too deeply" in stderr
+
+
 def test_certificate_bytes_deterministic(tmp_path, udiag_file, capsys):
     out1 = tmp_path / "c1.json"
     out2 = tmp_path / "c2.json"

@@ -1,4 +1,6 @@
 import copy
+import dataclasses
+import functools
 import hashlib
 import json
 import pathlib
@@ -15,9 +17,11 @@ from colift.lifting import (UnsupportedMatrixError,
                             unimodular_reduce, verify_certificate,
                             whitehead_word)
 from colift.matrices import (BlockDiagonal, Elementary, FinitePerturbation,
-                             Identity, Permutation, ProductMatrix,
-                             ScalarDiagonal, invert, window)
+                             Identity, InvertibleColFin, Permutation,
+                             ProductMatrix, ScalarDiagonal, invert, window)
 from colift.rings import BezoutWitness
+
+from conftest import two_sided_on_window
 
 REG = HomRegistry.builtin()
 FLAGSHIP = REG.get("zxy_to_laurent")
@@ -500,6 +504,32 @@ def test_certificate_window_is_an_honest_bound(flagship_cert):
     assert flagship_cert.verified_window == 64
 
 
+def test_two_sided_inverse_is_exact_and_names_the_factor(flagship_cert):
+    """The check passes "exactly, factor by factor"; a corrupted inverse
+    factor, a dropped one, or a factor without an exact inverse rule fails
+    and names the lift factor it pairs with."""
+    pair = flagship_cert.lift
+    ring = pair.matrix.ring
+    inverse = list(pair.inverse.factors)
+
+    def detail(inv_factors):
+        cert = dataclasses.replace(flagship_cert, lift=InvertibleColFin(
+            pair.matrix, ProductMatrix(ring, inv_factors)))
+        check = {c.name: c for c in verify_certificate(cert, 16).checks}
+        assert not check["two_sided_inverse"].passed
+        return check["two_sided_inverse"].detail
+
+    ok = {c.name: c for c in verify_certificate(flagship_cert, 16).checks}
+    assert ok["two_sided_inverse"].detail.endswith("exactly, factor by factor")
+    # inverse factor n-1 pairs with lift factor 0, an elementary swindle factor
+    assert detail(inverse[:-1] + [inverse[-1].negated()]).startswith(
+        "factor 0: the family at column")
+    assert detail(inverse[1:]) == "the lift has 10 factors, its inverse 9"
+    odd = FinitePerturbation(ring, [])
+    bad = lifting._paired_inverse_defect(InvertibleColFin(odd, odd))
+    assert bad == "factor 0: no exact inverse rule for form 'finite_perturbation'"
+
+
 def test_finite_perturbation_certificates_are_exact_everywhere():
     """Inputs with an identity tail need no truncation: the word equals the
     input at windows far beyond the construction window."""
@@ -685,3 +715,144 @@ def test_every_supported_input_lifts_by_two_swindles(hom_name, kind, window, see
     if horizons is not None:
         # identity tails: the word is the input everywhere, so past every h
         assert verify_certificate(cert, max(horizons, default=0) + 2 * window + 6).passed
+
+
+# ---------------------------------------------------------------------------
+# differential test: the exact paired-inverse check against the windowed oracle
+# ---------------------------------------------------------------------------
+
+DIFF_INPUTS = [(hom, m) for hom, m, _ in GOLDEN_CERTIFICATES] + [
+    ("z_to_z5", ProductMatrix(Z5, [
+        Elementary(Z5, {0: {2: Z5.from_int(3)}}),
+        Permutation(Z5, matrices.FinitePermutation(((1, 4), (4, 1)))),
+        FinitePerturbation(Z5, ints(Z5, [[2, 1], [4, 3]]))]))]
+ORACLE_WINDOW = 64
+
+
+@functools.lru_cache(maxsize=None)
+def _diff_certificate_json(idx):
+    hom, m = DIFF_INPUTS[idx]
+    return certificate_to_json(gl_lift(REG.get(hom), m, 16))
+
+
+def _tamper_certificate(data, kind, rng):
+    """Change the certificate JSON the way a careless or hostile editor
+    would; the paired inverse is still rebuilt from the edited factors."""
+    factors = data["factors"]
+    forms = lambda form: [f["matrix"] for f in factors if f["matrix"]["form"] == form]
+    if kind == "entry" and forms("elementary"):
+        m = rng.choice(forms("elementary"))
+        entries = [fam["entries"] for fam in m.get("families", [])] + list(m["cols"].values())
+        entries = rng.choice(entries)
+        key = rng.choice(sorted(entries))
+        entries[key] = f"{entries[key]} + 1"
+    elif kind == "sign" and forms("scalar_diagonal"):
+        m = rng.choice(forms("scalar_diagonal"))
+        if not isinstance(m["tail"], list):
+            m["tail"] = [m["tail"]]
+        seq = rng.choice([s for s in (m["prefix"], m["tail"]) if s])
+        i = rng.randrange(len(seq))
+        seq[i] = "1" if seq[i] == "-1" else "-1"
+    elif kind == "residue" and forms("permutation"):
+        m = rng.choice(forms("permutation"))
+        if "residues" in m:
+            seq = m["residues"]
+            a, b = rng.sample(range(len(seq)), 2)
+            seq[a], seq[b] = seq[b], seq[a]
+        else:
+            a, b = rng.sample(sorted(m["map"]), 2)
+            m["map"][a], m["map"][b] = m["map"][b], m["map"][a]
+    elif kind == "drop" and factors:
+        del factors[rng.randrange(len(factors))]
+    elif kind == "swap" and len(factors) > 1:
+        a, b = rng.sample(range(len(factors)), 2)
+        factors[a], factors[b] = factors[b], factors[a]
+    elif kind == "foreign":
+        factors.insert(rng.randrange(len(factors) + 1), {
+            "tag": "generator", "side": "L", "matrix": {
+                "form": "finite_perturbation", "corner": [["1", "1"], ["0", "1"]]}})
+
+
+def _corrupt_inverse(pair, kind, rng):
+    """The pair with one factor of its inverse word corrupted, or None when
+    the word has no factor of the kind's form."""
+    inverse = list(lifting._word(pair.inverse))
+    ring = pair.matrix.ring
+    shapes = {"inv-entry": Elementary, "inv-family": Elementary,
+              "inv-residue": Permutation, "inv-sign": ScalarDiagonal}
+    candidates = [k for k, g in enumerate(inverse) if isinstance(g, shapes[kind])]
+    if not candidates:
+        return None
+    k = rng.choice(candidates)
+    g = inverse[k]
+    if kind == "inv-entry":
+        cols = {j: dict(col) for j, col in g.head_cols.items()}
+        families = [list(fam.entries) for fam in g.families]
+        slots = [(cols[j], i) for j in cols for i in cols[j]] + \
+            [(entries, pos) for entries in families for pos in range(len(entries))]
+        where, key = rng.choice(slots)
+        if isinstance(where, dict):
+            where[key] = where[key] + ring.one()
+        else:
+            where[key] = (where[key][0], where[key][1] + ring.one())
+        g = Elementary(ring, cols, [matrices.ColumnFamily(fam.start, fam.period,
+                                                          tuple(entries))
+                                    for fam, entries in zip(g.families, families)])
+    elif kind == "inv-family":
+        if g.families:
+            drop = rng.randrange(len(g.families))
+            g = Elementary(ring, g.head_cols,
+                           [f for i, f in enumerate(g.families) if i != drop])
+        else:
+            drop = rng.choice(sorted(g.head_cols))
+            g = Elementary(ring, {j: c for j, c in g.head_cols.items() if j != drop})
+    elif kind == "inv-residue":
+        bij = g.bijection
+        if isinstance(bij, matrices.FinitePermutation):
+            mapping = list(bij.mapping)
+            a, b = rng.sample(range(len(mapping)), 2)
+            (i, s), (j, t) = mapping[a], mapping[b]
+            mapping[a], mapping[b] = (i, t), (j, s)
+            bij = matrices.FinitePermutation(tuple(mapping))
+        else:
+            images = list(bij.residue_images)
+            a, b = rng.sample(range(len(images)), 2)
+            images[a], images[b] = images[b], images[a]
+            bij = matrices.BlockPeriodicPermutation(bij.offset, bij.period, tuple(images))
+        g = Permutation(ring, bij)
+    else:
+        entries = list(g.prefix + g.tail_cycle)
+        i = rng.randrange(len(entries))
+        entries[i] = -entries[i]
+        n = len(g.prefix)
+        g = ScalarDiagonal(ring, entries[:n], entries[n:])
+    inverse[k] = g
+    return InvertibleColFin(pair.matrix, ProductMatrix(ring, inverse))
+
+
+@settings(max_examples=80, deadline=None)
+@given(idx=st.sampled_from(range(len(DIFF_INPUTS))),
+       kind=st.sampled_from(["none", "entry", "sign", "residue", "drop", "swap",
+                             "foreign", "inv-entry", "inv-family", "inv-residue",
+                             "inv-sign"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_exact_inverse_check_agrees_with_the_windowed_oracle(idx, kind, seed):
+    """If the exact check passes, the column-by-column oracle passes at every
+    window up to 64; so if the oracle fails at some window up to 64, the
+    exact check fails.  Windows are nested corners, so the oracle at 64
+    decides every smaller window.  Corrupting the inverse side always fails
+    the exact check, wherever the corruption sits."""
+    rng = random.Random(seed)
+    data = copy.deepcopy(_diff_certificate_json(idx))
+    if not kind.startswith("inv-"):
+        _tamper_certificate(data, kind, rng)
+    pair = certificate_from_json(data, REG).lift
+    if kind.startswith("inv-"):
+        pair = _corrupt_inverse(pair, kind, rng)
+        if pair is None:
+            return
+    exact_ok = lifting._paired_inverse_defect(pair) is None
+    assert not exact_ok or two_sided_on_window(pair.matrix, pair.inverse,
+                                               ORACLE_WINDOW)
+    if kind.startswith("inv-"):
+        assert not exact_ok

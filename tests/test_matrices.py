@@ -17,6 +17,8 @@ from colift.matrices import (BlockDiagonal, BlockPeriodicPermutation,
                              matrix_from_json, matrix_to_json, multiply,
                              window)
 
+from conftest import two_sided_on_window
+
 REG = HomRegistry.builtin()
 FLAGSHIP = REG.get("zxy_to_laurent")
 Z = rings.integers()
@@ -171,7 +173,7 @@ def test_invert_non_unit_block_reports_index():
 def test_invertible_verify_window():
     u = LAU.variable("u")
     inv = invert(ScalarDiagonal(LAU, (u * u,), rings.is_unit(u)))
-    assert inv.verify_window(10)
+    assert two_sided_on_window(inv.matrix, inv.inverse, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +409,7 @@ def test_invert_periodic_scalar_diagonal():
     d = ScalarDiagonal(LAU, (u * u,), (u, -LAU.one(), uinv))
     inv = invert(d)
     assert inv.inverse.tail == (uinv, -LAU.one(), u)
-    assert inv.verify_window(12)
+    assert two_sided_on_window(inv.matrix, inv.inverse, 12)
     assert eq_eventually_periodic(multiply(d, inv.inverse), Identity(LAU))
 
 

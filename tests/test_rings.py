@@ -47,6 +47,17 @@ def test_mul_polynomial():
     assert ZXY.variable("x") * ZXY.variable("y") == el(ZXY, "x*y")
 
 
+def test_arithmetic_across_descriptor_objects():
+    """Equal descriptors built separately combine; different rings refuse
+    with the same message, whichever path the ring check takes."""
+    assert residue(5).from_int(2) + Z5.from_int(4) == Z5.from_int(1)
+    assert residue(5).from_int(2) == Z5.from_int(2)
+    assert residue(7).from_int(2) != Z5.from_int(2)
+    for op in (lambda a, b: a + b, lambda a, b: a * b):
+        with pytest.raises(RingError, match="ring mismatch: Z/5 vs Z/7"):
+            op(Z5.from_int(2), residue(7).from_int(2))
+
+
 def test_mul_residue():
     assert Z5.from_int(2) * Z5.from_int(3) == Z5.one()
 
