@@ -294,6 +294,10 @@ def swindle_factorization(block_u, ring: RingDescriptor, offset: int = 0,
 # Block decomposition of supported inputs
 # ---------------------------------------------------------------------------
 
+def _is_identity_block(blk) -> bool:
+    return all(v == int(i == j) for i, row in enumerate(blk) for j, v in enumerate(row))
+
+
 def _as_blocks(m: ColFinMatrix):
     """(prefix dense blocks, tail block or None) for the supported classes."""
     ring = m.ring
@@ -310,7 +314,7 @@ def _as_blocks(m: ColFinMatrix):
         return ([m.corner] if m.size else []), None
     if isinstance(m, BlockDiagonal):
         tail = m.tail_block
-        if tail is not None and matrices._is_identity_block(tail):
+        if tail is not None and _is_identity_block(tail):
             tail = None
         return list(m.prefix_blocks), tail
     raise UnsupportedMatrixError(
@@ -576,7 +580,7 @@ def _word_factors(m: ColFinMatrix, requested_window: int) -> list:
         prefix_end = sum(len(b) for b in prefix)
         copies = -(-max(2 * requested_window - prefix_end, 0) // len(tail))
         blocks += [(tail, _block_inverse(tail, "tail", ring))] * copies
-    if all(matrices._is_identity_block(b) for b, _ in blocks):
+    if all(_is_identity_block(b) for b, _ in blocks):
         return []
     corner, corner_inv = (_sparse_diagonal([pair[side] for pair in blocks])
                           for side in (0, 1))

@@ -2,12 +2,12 @@
 
 Every supported form guarantees finite column support structurally.  Columns
 are exact sparse maps {row: element}; the top-left n x n window is the
-verification surface.  Equality of general lazy matrices is undecidable, so
-exact equality is only decided for forms that normalize to an eventually
-periodic block-diagonal shape, on a window whose size makes the check a
-proof: two such matrices with corner offsets o1, o2 and tail periods p1, p2
-agree everywhere iff they agree on the square window of size
-max(o1, o2) + 2*lcm(p1, p2).  Everything else is an explicit
+verification surface.  Equality of general lazy matrices is undecidable, but
+every structured form, and every product of them, has a shift-equivariance
+profile (o, P, b): past column o it commutes with the shift by P, with
+entries within b of the diagonal.  Two profiled matrices are equal iff
+their columns below max(o1, o2) + lcm(P1, P2) are equal, which decides
+exact equality (`eq_eventually_periodic`).  Everything else is an explicit
 "equal on window n" assertion.
 
 Matrices are immutable; product columns are memoized in a per-object dict.
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from . import dense, rings
 from .dense import NonInvertibleError
@@ -44,6 +43,8 @@ class FinitePermutation:
 
     def __post_init__(self):
         m = dict(self.mapping)
+        if any(i < 0 for i in m):
+            raise MatrixFormError("permutation indices must be nonnegative")
         if set(m) != set(m.values()):
             raise MatrixFormError("finite permutation mapping is not a bijection")
         object.__setattr__(self, "_forward", m)
@@ -58,9 +59,6 @@ class FinitePermutation:
     def inverted(self) -> "FinitePermutation":
         return FinitePermutation(tuple(sorted((v, k) for k, v in self.mapping)))
 
-    def moved_bound(self) -> int:
-        return 1 + max((max(k, v) for k, v in self.mapping), default=-1)
-
 
 @dataclass(frozen=True)
 class BlockPeriodicPermutation:
@@ -72,6 +70,9 @@ class BlockPeriodicPermutation:
     residue_images: tuple  # residue_images[r] = image residue
 
     def __post_init__(self):
+        if self.period < 1 or self.offset < 0:
+            raise MatrixFormError(
+                "block-periodic permutation needs period >= 1 and offset >= 0")
         if sorted(self.residue_images) != list(range(self.period)):
             raise MatrixFormError("residue images are not a permutation")
         inv = [0] * self.period
@@ -93,9 +94,6 @@ class BlockPeriodicPermutation:
 
     def inverted(self) -> "BlockPeriodicPermutation":
         return BlockPeriodicPermutation(self.offset, self.period, self._inverse_images)
-
-    def moved_bound(self) -> int:
-        return self.offset
 
 
 # ---------------------------------------------------------------------------
@@ -128,9 +126,6 @@ class ColFinMatrix:
 
     def map_entries(self, h) -> "ColFinMatrix":
         raise NotImplementedError
-
-    def entry(self, i: int, j: int) -> RingElement:
-        return self.column(j).get(i, self.ring.zero())
 
     def __repr__(self):
         return f"<{self.form} matrix over {self.ring}>"
@@ -479,7 +474,13 @@ def window(m: ColFinMatrix, n: int):
     """
     if n < 1:
         raise ValueError("window size must be >= 1")
-    return window_slice(m, 0, n)
+    zero = m.ring.zero()
+    out = [[zero] * n for _ in range(n)]
+    for j in range(n):
+        for i, v in m.column(j).items():
+            if i < n:
+                out[i][j] = v
+    return out
 
 
 def window_rendered(m: ColFinMatrix, n: int):
@@ -487,22 +488,10 @@ def window_rendered(m: ColFinMatrix, n: int):
     return [[rings.render(v) for v in row] for row in window(m, n)]
 
 
-def window_slice(m: ColFinMatrix, start: int, end: int):
-    """Dense square slice rows/cols [start, end); only sound when columns in
-    the range are supported in the range (block-diagonal slices)."""
-    zero = m.ring.zero()
-    k = end - start
-    out = [[zero] * k for _ in range(k)]
-    for j in range(start, end):
-        for i, v in m.column(j).items():
-            if start <= i < end:
-                out[i - start][j - start] = v
-    return out
-
-
 def multiply(a: ColFinMatrix, b: ColFinMatrix) -> ColFinMatrix:
-    """Product a*b, fused into a structured diagonal form when both operands
-    are diagonal-like with alignable block boundaries, else a factor word."""
+    """Product a*b.  The identity is absorbed and two scalar diagonals
+    multiply entrywise (giving the identity when every entry is one); every
+    other product is a factor word."""
     if a.ring != b.ring:
         raise RingError(f"ring mismatch: {a.ring} vs {b.ring}")
     if isinstance(a, Identity):
@@ -515,95 +504,11 @@ def multiply(a: ColFinMatrix, b: ColFinMatrix) -> ColFinMatrix:
         period = math.lcm(a.period, b.period)
         tail = tuple(a.diagonal_entry(i) * b.diagonal_entry(i)
                      for i in range(k, k + period))
-        return _normalize(ScalarDiagonal(a.ring, prefix, tail))
-    if isinstance(a, FinitePerturbation) and isinstance(b, FinitePerturbation):
-        n = max(a.size, b.size)
-        return _normalize(FinitePerturbation(
-            a.ring, dense.mat_mul(window(a, n), window(b, n))))
-    da, db = _diag_profile(a), _diag_profile(b)
-    if da is not None and db is not None:
-        fused = _fuse_diagonal(a, b, da, db)
-        if fused is not None:
-            return fused
+        d = ScalarDiagonal(a.ring, prefix, tail)
+        if d.tail_is_one() and all(x.is_one() for x in d.prefix):
+            return Identity(a.ring)
+        return d
     return ProductMatrix(a.ring, [a, b])
-
-
-def _diag_profile(m: ColFinMatrix):
-    """(prefix_end, period or None-for-identity-tail) for diagonal-like forms."""
-    if isinstance(m, Identity):
-        return (0, None)
-    if isinstance(m, ScalarDiagonal):
-        return (len(m.prefix), None if m.tail_is_one() else m.period)
-    if isinstance(m, FinitePerturbation):
-        return (m.size, None)
-    if isinstance(m, BlockDiagonal):
-        if m.tail_block is None:
-            return (m.prefix_end, None)
-        return (m.prefix_end, m.period)
-    return None
-
-
-def _boundary_beyond(profile, x: int) -> bool:
-    end, period = profile
-    if x < end:
-        return False
-    return period is None or (x - end) % period == 0
-
-
-def _fuse_diagonal(a, b, da, db) -> Optional[ColFinMatrix]:
-    ring = a.ring
-    start = max(da[0], db[0])
-    pa = da[1] or 1
-    pb = db[1] or 1
-    lcm = pa * pb // math.gcd(pa, pb)
-    cut = None
-    for x in range(start, start + lcm + 1):
-        if _boundary_beyond(da, x) and _boundary_beyond(db, x):
-            cut = x
-            break
-    if cut is None:
-        return None
-    if da[1] is None and db[1] is None:
-        tail = None
-        period = 1
-    else:
-        period = lcm if (da[1] and db[1]) else (da[1] or db[1])
-        ta = window_slice(a, cut, cut + period)
-        tb = window_slice(b, cut, cut + period)
-        tail = dense.mat_mul(ta, tb)
-    if cut == 0:
-        prefix = []
-    else:
-        ca = window_slice(a, 0, cut)
-        cb = window_slice(b, 0, cut)
-        prefix = [dense.mat_mul(ca, cb)]
-    return _normalize(BlockDiagonal(ring, prefix, tail))
-
-
-def _is_identity_block(blk) -> bool:
-    return all(v == int(i == j) for i, row in enumerate(blk) for j, v in enumerate(row))
-
-
-def _normalize(m: ColFinMatrix) -> ColFinMatrix:
-    if isinstance(m, ScalarDiagonal):
-        if m.tail_is_one() and all(d.is_one() for d in m.prefix):
-            return Identity(m.ring)
-        return m
-    if isinstance(m, FinitePerturbation):
-        if _is_identity_block(m.corner) or m.size == 0:
-            return Identity(m.ring)
-        return m
-    if isinstance(m, BlockDiagonal):
-        tail = m.tail_block
-        if tail is not None and _is_identity_block(tail):
-            tail = None
-        prefix = list(m.prefix_blocks)
-        while prefix and tail is None and _is_identity_block(prefix[-1]):
-            prefix.pop()
-        if not prefix and tail is None:
-            return Identity(m.ring)
-        return BlockDiagonal(m.ring, prefix, tail)
-    return m
 
 
 # ---------------------------------------------------------------------------
@@ -681,33 +586,60 @@ def map_hom(h, m: ColFinMatrix) -> ColFinMatrix:
     return m.map_entries(h)
 
 
-def _as_eventually_periodic(m: ColFinMatrix) -> ColFinMatrix:
-    if isinstance(m, (Identity, ScalarDiagonal, FinitePerturbation, BlockDiagonal)):
-        return m
+def profile(m: ColFinMatrix) -> tuple:
+    """The shift-equivariance profile (o, P, b) of a structured form: for
+    every column j >= o, column(j + P) is column(j) shifted down by P, and
+    the rows of column j lie within b of j.  Forms without one raise
+    NotEventuallyPeriodicError.
+
+    A product A*B has the profile (max(o_B, o_A + b_B), lcm(P_A, P_B),
+    b_A + b_B), so a factor word folds right to left.  Proof: let
+    P = lcm(P_A, P_B) and j >= max(o_B, o_A + b_B).  Shifting by P_B a
+    column at or past o_B gives another such column, so column_B(j + P) is
+    column_B(j) shifted by P, and its rows i satisfy i >= j - b_B >= o_A.
+    Hence column_AB(j + P) = sum_i B[i, j] column_A(i + P) is the same sum
+    of the columns column_A(i) shifted by P, that is column_AB(j) shifted
+    by P; its rows lie within b_A of a row i that lies within b_B of j.
+    """
+    if isinstance(m, Identity):
+        return 0, 1, 0
+    if isinstance(m, ScalarDiagonal):
+        return len(m.prefix), m.period, 0
+    if isinstance(m, FinitePerturbation):
+        return m.size, 1, 0
+    if isinstance(m, BlockDiagonal):
+        return m.prefix_end, m.period, m.period - 1
+    if isinstance(m, Elementary):
+        fams = m.families
+        return (max([j + 1 for j in m.head_cols] + [f.start for f in fams],
+                    default=0),
+                math.lcm(*(f.period for f in fams)),
+                max((abs(o) for f in fams for o, _ in f.entries), default=0))
+    if isinstance(m, Permutation):
+        bij = m.bijection
+        if isinstance(bij, FinitePermutation):
+            return 1 + max((k for k, _ in bij.mapping), default=-1), 1, 0
+        return bij.offset, bij.period, bij.period - 1
     if isinstance(m, ProductMatrix):
-        acc = Identity(m.ring)
-        for f in m.factors:
-            acc = multiply(acc, _as_eventually_periodic(f))
-            if isinstance(acc, ProductMatrix):
-                raise NotEventuallyPeriodicError(
-                    "product does not fuse to an eventually periodic form")
-        return acc
+        o, p, b = 0, 1, 0
+        for f in reversed(m.factors):
+            fo, fp, fb = profile(f)
+            o, p, b = max(o, fo + b), math.lcm(fp, p), fb + b
+        return o, p, b
     raise NotEventuallyPeriodicError(
-        f"form {m.form!r} does not normalize to an eventually periodic form")
+        f"form {m.form!r} has no shift-equivariance profile")
 
 
 def eq_eventually_periodic(a: ColFinMatrix, b: ColFinMatrix) -> bool:
-    """Exact equality for eventually periodic operands, decided on the
-    window of size max(offsets) + 2*lcm(periods)."""
+    """Exact equality of two profiled matrices.  Past o = max(o_a, o_b)
+    both commute with the shift by P = lcm(P_a, P_b), so every later column
+    is a shifted copy of one of columns o .. o + P - 1: comparing the full
+    sparse columns below o + P decides equality at every index."""
     if a.ring != b.ring:
         return False
-    na, nb = _as_eventually_periodic(a), _as_eventually_periodic(b)
-    oa, pa = _diag_profile(na)
-    ob, pb = _diag_profile(nb)
-    pa, pb = pa or 1, pb or 1
-    size = max(oa, ob) + 2 * (pa * pb // math.gcd(pa, pb))
-    size = max(size, 1)
-    return window(na, size) == window(nb, size)
+    (oa, pa, _), (ob, pb, _) = profile(a), profile(b)
+    return all(column(a, j) == column(b, j)
+               for j in range(max(oa, ob) + math.lcm(pa, pb)))
 
 
 # ---------------------------------------------------------------------------

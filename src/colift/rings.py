@@ -9,6 +9,7 @@ share between threads.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Optional
@@ -568,6 +569,26 @@ def _render_monomial(r: RingDescriptor, key) -> str:
 # stack frames, and deeper input would overflow the recursion limit.
 MAX_NESTING_DEPTH = 100
 
+# `b^e` multiplies out a base b that is not a lone variable, so its result
+# is bounded first: T terms (per variable, e times b's exponent span plus
+# one) of B coefficient bits (over Z, e*bitlen(|b|_1 - 1) + 1, since
+# |b^e|_1 <= |b|_1^e; over Z/m, bitlen(m)).  T*T*B above this is refused.
+MAX_POWER_WORK = 1 << 24
+
+
+def _power_work(base: RingElement, e: int) -> int:
+    r = base.ring
+    if r.kind in ("integers", "residue"):
+        terms, coeffs = 1, [base.payload]
+    else:
+        keys = [k if r.kind == "polynomial" else (k,) for k, _ in base.payload]
+        terms = math.prod(e * (max(x) - min(x)) + 1 for x in zip(*keys))
+        coeffs = [c for _, c in base.payload]
+    modulus = r.modulus or r.coeff_modulus
+    bits = (modulus.bit_length() if modulus
+            else e * max(sum(map(abs, coeffs)) - 1, 0).bit_length() + 1)
+    return terms * terms * bits
+
 
 class _Parser:
     """Recursive descent over: integers, variables, + - * ^ and parentheses.
@@ -633,6 +654,9 @@ class _Parser:
                 return self.ring.variable(base_name, exp)
             if exp < 0:
                 raise ParseError("negative exponent outside a Laurent ring", base_pos)
+            if _power_work(base, exp) > MAX_POWER_WORK:
+                raise ParseError(
+                    "power beyond the size limit 2^24 (MAX_POWER_WORK)", base_pos)
             return base ** exp
         return base
 

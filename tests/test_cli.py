@@ -363,6 +363,61 @@ def test_verify_malformed_certificate_shape_exits_2(tmp_path, udiag_file,
     assert field in stderr
 
 
+def _certificate_with_factor(tmp_path, capsys, matrix):
+    """An identity certificate over Z/5 with `matrix` appended as a
+    generator factor and its hash recomputed."""
+    path = _write(tmp_path / "id.json", "Z/5", {"form": "identity"})
+    cert = tmp_path / "cert.json"
+    code, _, _ = run_cli(["lift", "--hom", "z_to_z5", "--matrix", str(path),
+                          "--window", "16", "--out", str(cert)], capsys)
+    assert code == 0
+    data = json.loads(cert.read_text(encoding="utf-8"))
+    data["factors"].append({"tag": "generator", "side": "L", "matrix": matrix})
+    data["content_hash"] = lifting._content_hash(data)
+    cert.write_text(json.dumps(data), encoding="utf-8")
+    return cert
+
+
+@pytest.mark.parametrize("matrix", [
+    {"form": "permutation", "offset": 0, "period": 0, "residues": []},
+    {"form": "permutation", "offset": -3, "period": 2, "residues": [1, 0]},
+    {"form": "permutation", "map": {"-1": 0, "0": -1}},
+], ids=["period-0", "negative-offset", "negative-index"])
+def test_malformed_permutation_exits_2(tmp_path, capsys, matrix):
+    """A permutation with period 0, a negative offset or a negative index
+    is malformed, in a matrix file and as a certificate factor."""
+    path = _write(tmp_path / "p.json", "Z/5", matrix)
+    code, _, stderr = run_cli(["lift", "--hom", "z_to_z5",
+                               "--matrix", str(path), "--window", "8"], capsys)
+    assert code == 2
+    assert "Traceback" not in stderr
+    cert = _certificate_with_factor(tmp_path, capsys, matrix)
+    code, _, stderr = run_cli(["verify", "--certificate", str(cert),
+                               "--window", "8"], capsys)
+    assert code == 2
+    assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("expr", ["(1+u)^300000", "(2)^99999999"])
+def test_oversized_power_exits_2_quickly(tmp_path, udiag_file, capsys, expr):
+    path = _write(tmp_path / "pow.json", LAURENT,
+                  {"form": "scalar_diagonal", "prefix": [], "tail": expr})
+    t0 = time.perf_counter()
+    code, _, stderr = run_cli(["lift", "--hom", "zxy_to_laurent",
+                               "--matrix", str(path), "--window", "16"], capsys)
+    assert code == 2 and "MAX_POWER_WORK" in stderr
+    assert time.perf_counter() - t0 < 1.0
+    out, data = _flagship_certificate(tmp_path, udiag_file, capsys)
+    data["input"]["tail"] = expr
+    data["content_hash"] = lifting._content_hash(data)
+    out.write_text(json.dumps(data), encoding="utf-8")
+    t0 = time.perf_counter()
+    code, _, stderr = run_cli(["verify", "--certificate", str(out),
+                               "--window", "16"], capsys)
+    assert code == 2 and "MAX_POWER_WORK" in stderr
+    assert time.perf_counter() - t0 < 1.0
+
+
 DEEP = "(" * 5000 + "u" + ")" * 5000
 
 

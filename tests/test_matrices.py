@@ -119,7 +119,6 @@ def test_block_and_scalar_fuse_with_alignable_periods():
     d = ScalarDiagonal(Z, (Z.from_int(2),), Z.from_int(1))
     b = BlockDiagonal(Z, [], ints(Z, [[1, 1], [0, 1]]))
     fused = multiply(d, b)
-    assert not isinstance(fused, ProductMatrix)
     assert window(fused, 6) == window(ProductMatrix(Z, [d, b]), 6)
 
 
@@ -229,10 +228,23 @@ def test_eq_fused_product_with_inverse():
     assert eq_eventually_periodic(prod, Identity(LAU))
 
 
+class _Opaque(matrices.ColFinMatrix):
+    """A column-finite form without a shift-equivariance profile."""
+
+    form = "opaque"
+
+    def __init__(self, ring):
+        self.ring = ring
+
+    def column(self, j):
+        return {j: self.ring.one()}
+
+
 def test_eq_rejects_non_periodic_forms():
-    e = Elementary(Z, {0: {1: Z.one()}})
     with pytest.raises(NotEventuallyPeriodicError):
-        eq_eventually_periodic(e, Identity(Z))
+        eq_eventually_periodic(_Opaque(Z), Identity(Z))
+    e = Elementary(Z, {0: {1: Z.one()}})
+    assert eq_eventually_periodic(e, Identity(Z)) is False
 
 
 def test_eq_different_block_alignment():
@@ -246,6 +258,61 @@ def test_eq_different_block_alignment():
 # ---------------------------------------------------------------------------
 
 from conftest import random_structured as _random_structured
+
+
+def _random_invertible(ring, rng):
+    while True:
+        try:
+            return invert(_random_structured(ring, rng))
+        except NonInvertibleError:
+            pass
+
+
+@st.composite
+def _word_pairs(draw):
+    """Two products of 1-3 random forms; half the time the second is the
+    first with g*g^-1 inserted at a random position, so the two are equal."""
+    ring = draw(st.sampled_from([Z, Z5, LAU]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    a = [_random_structured(ring, rng) for _ in range(rng.randint(1, 3))]
+    if draw(st.booleans()):
+        g = _random_invertible(ring, rng)
+        k = rng.randint(0, len(a))
+        b = a[:k] + [g.matrix, g.inverse] + a[k:]
+    else:
+        b = [_random_structured(ring, rng) for _ in range(rng.randint(1, 3))]
+    return ProductMatrix(ring, a), ProductMatrix(ring, b)
+
+
+_REVERSE4 = Permutation(Z, BlockPeriodicPermutation(0, 4, (3, 2, 1, 0)))
+
+
+@given(_word_pairs())
+@example((ProductMatrix(Z, [ScalarDiagonal(Z, (Z.from_int(2),), Z.one()),
+                            _REVERSE4]),
+          ProductMatrix(Z, [_REVERSE4,
+                            ScalarDiagonal(Z, (), ints(Z, [[1, 1, 1, 2]])[0])])))
+@settings(max_examples=200, deadline=None)
+def test_eq_agrees_with_a_column_by_column_comparison(pair):
+    """The profile decider against the column oracle, well past the
+    columns it reads.  The pinned pair differs first at column 7, which a
+    product rule without the `+ b_B` in its offset never reads."""
+    a, b = pair
+    (oa, pa, ba), (ob, pb, bb) = matrices.profile(a), matrices.profile(b)
+    n = 3 * (max(oa, ob) + 2 * math.lcm(pa, pb) + ba + bb) + 8
+    oracle = all(matrices.column(a, j) == matrices.column(b, j)
+                 for j in range(n))
+    assert eq_eventually_periodic(a, b) == oracle
+
+
+def test_flagship_lift_times_its_inverse_is_exactly_the_identity():
+    from colift.lifting import gl_lift
+    u = LAU.variable("u")
+    cert = gl_lift(FLAGSHIP, invert(ScalarDiagonal(LAU, (), u)), 16)
+    ident = Identity(FLAGSHIP.source)
+    assert eq_eventually_periodic(
+        multiply(cert.lift.matrix, cert.lift.inverse), ident)
+    assert not eq_eventually_periodic(cert.lift.matrix, ident)
 
 
 @pytest.mark.parametrize("ring", [Z, Z5, LAU], ids=str)

@@ -240,6 +240,21 @@ def test_parse_parentheses_and_power():
     assert el(ZXY, "(x + y)^2") == el(ZXY, "x^2 + 2*x*y + y^2")
 
 
+def test_power_work_limit():
+    """(1+u)^e over Z bounds (e+1)^2 terms squared times e+1 bits, so the
+    limit 2^24 = 256^3 falls between the exponents 255 and 256; a lone
+    variable and a constant over Z/m are never expanded by the limit."""
+    assert el(LAU, "(1+u)^255").terms()[-1] == (255, 1)
+    with pytest.raises(ParseError, match="MAX_POWER_WORK"):
+        el(LAU, "(1+u)^256")
+    with pytest.raises(ParseError, match="MAX_POWER_WORK"):
+        el(Z, "2^99999999")
+    assert el(LAU, "u^99999999") == LAU.variable("u", 99999999)
+    assert el(Z5, "2^99999999") == Z5.from_int(3)     # 2^(99999999 mod 4)
+    assert el(polynomial(["x"], Z5), "(3)^99999999") \
+        == polynomial(["x"], Z5).from_int(2)
+
+
 def test_render_parse_roundtrip_on_random_elements():
     import random
     rng = random.Random(2)
