@@ -36,8 +36,7 @@ from .homs import RingHom, hom_section
 from .matrices import (BlockDiagonal, BlockPeriodicPermutation, ColFinMatrix,
                        ColumnFamily, Elementary, FinitePermutation,
                        FinitePerturbation, Identity, InvertibleColFin,
-                       Permutation, ProductMatrix, ScalarDiagonal, invert,
-                       multiply)
+                       Permutation, ProductMatrix, ScalarDiagonal, invert)
 from .rings import BezoutWitness, RingDescriptor, RingElement
 
 
@@ -89,15 +88,6 @@ class ElementaryWord:
             if step.side != "L":
                 raise LiftError("column operations cannot act on a column vector")
             out = step.inv.matrix.apply_to(out)
-        return out
-
-    def apply_to_matrix(self, m: ColFinMatrix) -> ColFinMatrix:
-        out = m
-        for step in self.steps:
-            if step.side == "L":
-                out = multiply(step.inv.matrix, out)
-            else:
-                out = multiply(out, step.inv.matrix)
         return out
 
 
@@ -175,24 +165,28 @@ def _block_operations(ring, a: SparseBlock, b: SparseBlock, b_inv: SparseBlock,
     diagonal so every matrix stays in a liftable generator class.
 
     The pair sits at `offset`; with `periodic` the operations act on every
-    pair offset + t*2k at once (their supports are disjoint), through one
-    column family per nonzero column of a block."""
+    pair offset + t*2k at once (their supports are disjoint), through column
+    family runs: block columns with equal entries relative to the diagonal
+    are grouped into maximal arithmetic progressions (for a swindle corner,
+    one run per prefix column and per tail-column residue), and each run is
+    negated once."""
     k = a.size
     period = 2 * k
     minus_one, one = -ring.one(), ring.one()
 
     def corner(blk, row_base, col_base, negate=False):
         """id + (+-blk) with blk's (0, 0) entry at (row_base, col_base)."""
-        cols = {col_base + j: {row_base + i: -v if negate else v
-                               for i, v in blk.cols[j].items()}
-                for j in sorted(blk.cols)}
         if periodic:
+            shift = row_base - col_base
             return Elementary(ring, {}, [
-                ColumnFamily(offset + j, period,
-                             tuple((i - j, v) for i, v in col.items()))
-                for j, col in cols.items()])
-        return Elementary(ring, {offset + j: {offset + i: v for i, v in col.items()}
-                                 for j, col in cols.items()})
+                ColumnFamily(offset + col_base + j, period,
+                             tuple((shift + o, -v if negate else v) for o, v in rel),
+                             stride, count)
+                for j, stride, count, rel in _column_runs(blk)])
+        return Elementary(ring, {
+            offset + col_base + j: {offset + row_base + i: -v if negate else v
+                                    for i, v in col.items()}
+            for j, col in sorted(blk.cols.items())})
 
     swap = tuple(range(k, period)) + tuple(range(k))
     if periodic:
@@ -207,6 +201,27 @@ def _block_operations(ring, a: SparseBlock, b: SparseBlock, b_inv: SparseBlock,
             Permutation(ring, swap_perm),
             signs,
             corner(a, row_base=0, col_base=k, negate=True)]
+
+
+def _column_runs(blk: SparseBlock) -> list:
+    """The nonzero columns of blk as runs (first column, stride, count,
+    entries as (row - column, value) pairs): columns with equal entries,
+    split into maximal arithmetic progressions, ordered by first column."""
+    groups = {}
+    for j in sorted(blk.cols):
+        rel = tuple((i - j, v) for i, v in blk.cols[j].items())
+        groups.setdefault(rel, []).append(j)
+    runs = []
+    for rel, cols in groups.items():
+        first = 0
+        while first < len(cols):
+            last = first + 1            # cols[first:last] is one progression
+            stride = cols[last] - cols[first] if last < len(cols) else 1
+            while last < len(cols) and cols[last] - cols[last - 1] == stride:
+                last += 1
+            runs.append((cols[first], stride, last - first, rel))
+            first = last
+    return sorted(runs, key=lambda run: run[0])
 
 
 def whitehead_word(block_a, block_b, ring: RingDescriptor) -> ElementaryWord:
@@ -375,7 +390,7 @@ def _is_sign_diagonal(m: ColFinMatrix) -> bool:
     if isinstance(m, Identity):
         return True
     if isinstance(m, ScalarDiagonal):
-        return all(d == one or d == minus for d in m.prefix + m.tail_cycle)
+        return set(m.prefix + m.tail_cycle) <= {one, minus}
     if isinstance(m, BlockDiagonal):
         blocks = list(m.prefix_blocks)
         if m.tail_block is not None:
@@ -431,14 +446,16 @@ def _inverse_defect(f: ColFinMatrix, g: ColFinMatrix) -> Optional[str]:
             if inv.keys() != col.keys() or not all(
                     negates(inv[i], v) for i, v in col.items()):
                 return f"column {j} of the inverse is not the negated column"
-        inv_families = {(fam.start, fam.period): fam.entries for fam in g.families}
+        run = lambda fam: (fam.start, fam.period, fam.stride, fam.count)
+        inv_families = {run(fam): fam.entries for fam in g.families}
         if len(inv_families) != len(f.families):
             return "the inverse has other column families"
         for fam in f.families:
-            inv = inv_families.get((fam.start, fam.period), ())
+            inv = inv_families.get(run(fam), ())
             if len(inv) != len(fam.entries) or not all(
                     p == o and negates(w, v) for (o, v), (p, w) in zip(fam.entries, inv)):
-                return (f"the family at column {fam.start} (period {fam.period}) "
+                return (f"the family at column {fam.start} (period {fam.period}, "
+                        f"stride {fam.stride}, count {fam.count}) "
                         "of the inverse is not the negated family")
         return None
     if isinstance(f, Permutation):
@@ -496,13 +513,7 @@ def _lift_factor(h: RingHom, m: ColFinMatrix) -> ColFinMatrix:
     """
     src = h.source
     if isinstance(m, Elementary):
-        return Elementary(
-            src,
-            {j: {i: hom_section(h, v) for i, v in col.items()}
-             for j, col in m.head_cols.items()},
-            [ColumnFamily(f.start, f.period,
-                          tuple((o, hom_section(h, v)) for o, v in f.entries))
-             for f in m.families])
+        return m.map_values(src, lambda v: hom_section(h, v))
     if isinstance(m, Permutation):
         return Permutation(src, m.bijection)
     one_t, minus_t = m.ring.one(), -m.ring.one()
@@ -518,8 +529,7 @@ def _lift_factor(h: RingHom, m: ColFinMatrix) -> ColFinMatrix:
     if isinstance(m, Identity):
         return Identity(src)
     if isinstance(m, ScalarDiagonal):
-        return ScalarDiagonal(src, tuple(lift_sign(d) for d in m.prefix),
-                              tuple(lift_sign(d) for d in m.tail_cycle))
+        return m.map_values(src, lift_sign)
     if isinstance(m, BlockDiagonal):
         zero_s = src.zero()
 

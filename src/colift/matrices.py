@@ -15,8 +15,10 @@ Matrices are immutable; product columns are memoized in a per-object dict.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import dense, rings
 from .dense import NonInvertibleError
@@ -29,6 +31,20 @@ class MatrixFormError(Exception):
 
 class NotEventuallyPeriodicError(Exception):
     """Operand does not normalize to an eventually periodic form."""
+
+
+# The most family columns, diagonal entries or permutation residues one form
+# may hold: the columns of an elementary form's family runs, the entries of a
+# scalar diagonal's prefix and tail cycle, the residues of a block-periodic
+# permutation.  A compressed form over the limit ([expr, count] runs, a
+# rotation, stride/count runs) is refused before it is expanded.
+MAX_EXPANSION = 2 ** 18
+
+
+def _check_expansion(size: int, what: str) -> None:
+    if size > MAX_EXPANSION:
+        raise MatrixFormError(
+            f"a form expands to {size} {what}, over MAX_EXPANSION = {MAX_EXPANSION}")
 
 
 # ---------------------------------------------------------------------------
@@ -48,13 +64,9 @@ class FinitePermutation:
         if set(m) != set(m.values()):
             raise MatrixFormError("finite permutation mapping is not a bijection")
         object.__setattr__(self, "_forward", m)
-        object.__setattr__(self, "_inverse", {v: k for k, v in m.items()})
 
     def __call__(self, j: int) -> int:
         return self._forward.get(j, j)
-
-    def inverse_apply(self, j: int) -> int:
-        return self._inverse.get(j, j)
 
     def inverted(self) -> "FinitePermutation":
         return FinitePermutation(tuple(sorted((v, k) for k, v in self.mapping)))
@@ -73,6 +85,7 @@ class BlockPeriodicPermutation:
         if self.period < 1 or self.offset < 0:
             raise MatrixFormError(
                 "block-periodic permutation needs period >= 1 and offset >= 0")
+        _check_expansion(self.period, "permutation residues")
         if sorted(self.residue_images) != list(range(self.period)):
             raise MatrixFormError("residue images are not a permutation")
         inv = [0] * self.period
@@ -85,12 +98,6 @@ class BlockPeriodicPermutation:
             return j
         q, r = divmod(j - self.offset, self.period)
         return self.offset + q * self.period + self.residue_images[r]
-
-    def inverse_apply(self, j: int) -> int:
-        if j < self.offset:
-            return j
-        q, r = divmod(j - self.offset, self.period)
-        return self.offset + q * self.period + self._inverse_images[r]
 
     def inverted(self) -> "BlockPeriodicPermutation":
         return BlockPeriodicPermutation(self.offset, self.period, self._inverse_images)
@@ -175,6 +182,7 @@ class ScalarDiagonal(ColFinMatrix):
         cycle = (tail,) if isinstance(tail, RingElement) else tuple(tail)
         if not cycle:
             raise MatrixFormError("scalar diagonal tail cycle is empty")
+        _check_expansion(len(self.prefix) + len(cycle), "diagonal entries")
         self.tail_cycle = _minimal_cycle(cycle)
         self.period = len(self.tail_cycle)
 
@@ -193,9 +201,15 @@ class ScalarDiagonal(ColFinMatrix):
         d = self.diagonal_entry(j)
         return {} if d.is_zero() else {j: d}
 
+    def map_values(self, ring, fn) -> "ScalarDiagonal":
+        """The diagonal over `ring` with fn applied once per distinct entry;
+        sign diagonals repeat two entries thousands of times."""
+        image = {d: fn(d) for d in dict.fromkeys(self.prefix + self.tail_cycle)}
+        return ScalarDiagonal(ring, tuple(image[d] for d in self.prefix),
+                              tuple(image[d] for d in self.tail_cycle))
+
     def map_entries(self, h):
-        return ScalarDiagonal(h.target, tuple(h.apply(d) for d in self.prefix),
-                              tuple(h.apply(d) for d in self.tail_cycle))
+        return self.map_values(h.target, h.apply)
 
 
 class FinitePerturbation(ColFinMatrix):
@@ -274,23 +288,32 @@ class BlockDiagonal(ColFinMatrix):
                              mp(self.tail_block) if self.tail_block else None)
 
 
-@dataclass(frozen=True)
-class ColumnFamily:
-    """Periodic family of elementary columns: for t >= 0, column
-    start + t*period carries entries at rows (column + offset) for each
-    (offset, value) pair."""
+class ColumnFamily(NamedTuple):
+    """A run of periodic elementary columns: for 0 <= s < count and t >= 0,
+    column start + s*stride + t*period carries entries at rows
+    (column + offset) for each (offset, value) pair.  Every column of the
+    run shares the one `entries` tuple; count 1 is a single periodic
+    family."""
 
     start: int
     period: int
     entries: tuple  # ((rel_offset, RingElement), ...)
+    stride: int = 1
+    count: int = 1
+
+    @property
+    def last_start(self) -> int:
+        return self.start + (self.count - 1) * self.stride
 
 
 class Elementary(ColFinMatrix):
     """id + M with the columns of M indexed by a set J and supported in rows
     outside J; always invertible with inverse id - M.
 
-    Families are indexed by period, then by start % period, so a column
-    looks up one bucket per distinct period instead of scanning them all.
+    `families` keeps the runs as given (zero entries dropped); each run is
+    expanded into one family per column, indexed by period, then by
+    start % period, so a column looks up one bucket per distinct period
+    instead of scanning them all.
     """
 
     form = "elementary"
@@ -303,24 +326,37 @@ class Elementary(ColFinMatrix):
             if kept:
                 cols[j] = kept
         self.head_cols = cols
-        fams = []
+        runs = []
         for fam in families:
             entries = tuple((off, v) for off, v in fam.entries if not v.is_zero())
             if entries:
                 if fam.period < 1:
                     raise MatrixFormError("column family period must be positive")
-                fams.append(ColumnFamily(fam.start, fam.period, entries))
-        self.families = tuple(fams)
+                if fam.stride < 1 or fam.count < 1:
+                    raise MatrixFormError(
+                        "column family stride and count must be at least 1")
+                runs.append(ColumnFamily(fam.start, fam.period, entries,
+                                         fam.stride, fam.count))
+        self.families = tuple(runs)
+        total = sum(f.count for f in runs)
+        if total > MAX_EXPANSION and any(f.count > f.period for f in runs):
+            # a run longer than its period covers some column twice
+            raise MatrixFormError("overlapping column families")
+        _check_expansion(total, "family columns")
+        # every run expands into one family per column, sharing its entries;
+        # a count-1 run is its own expansion
+        expanded = [ColumnFamily(f.start + s * f.stride, f.period, f.entries)
+                    if f.count > 1 else f for f in runs for s in range(f.count)]
         buckets = {}          # period -> {start % period: [families]}
-        for fam in self.families:
+        for fam in expanded:
             buckets.setdefault(fam.period, {}).setdefault(
                 fam.start % fam.period, []).append(fam)
-        self._validate(buckets)
+        self._validate(buckets, expanded)
         # after validation every bucket holds exactly one family
         self._buckets = tuple((p, {r: fs[0] for r, fs in by_res.items()})
                               for p, by_res in buckets.items())
 
-    def _validate(self, buckets):
+    def _validate(self, buckets, families):
         """Rows of every column avoid the column set J.  Linear in the
         families that share a period; only distinct periods are compared
         pairwise (two progressions meet iff their starts agree modulo the
@@ -349,7 +385,7 @@ class Elementary(ColFinMatrix):
                         for f in by_res.get(i % p, ())):
                     raise MatrixFormError(
                         f"elementary row {i} of column {j} lies inside the column set")
-        for fam in self.families:
+        for fam in families:
             p = fam.period
             top = head_top[p]
             if len(buckets[p][fam.start % p]) > 1 or any(
@@ -384,21 +420,21 @@ class Elementary(ColFinMatrix):
                     out[j + off] = v
         return out
 
-    def negated(self) -> "Elementary":
+    def map_values(self, ring, fn) -> "Elementary":
+        """The elementary matrix over `ring` with fn applied to every stored
+        entry, once per head entry and once per run."""
         return Elementary(
-            self.ring,
-            {j: {i: -v for i, v in col.items()} for j, col in self.head_cols.items()},
-            [ColumnFamily(f.start, f.period, tuple((o, -v) for o, v in f.entries))
+            ring,
+            {j: {i: fn(v) for i, v in col.items()} for j, col in self.head_cols.items()},
+            [ColumnFamily(f.start, f.period, tuple((o, fn(v)) for o, v in f.entries),
+                          f.stride, f.count)
              for f in self.families])
 
+    def negated(self) -> "Elementary":
+        return self.map_values(self.ring, lambda v: -v)
+
     def map_entries(self, h):
-        return Elementary(
-            h.target,
-            {j: {i: h.apply(v) for i, v in col.items()}
-             for j, col in self.head_cols.items()},
-            [ColumnFamily(f.start, f.period,
-                          tuple((o, h.apply(v)) for o, v in f.entries))
-             for f in self.families])
+        return self.map_values(h.target, h.apply)
 
 
 class Permutation(ColFinMatrix):
@@ -490,8 +526,9 @@ def window_rendered(m: ColFinMatrix, n: int):
 
 def multiply(a: ColFinMatrix, b: ColFinMatrix) -> ColFinMatrix:
     """Product a*b.  The identity is absorbed and two scalar diagonals
-    multiply entrywise (giving the identity when every entry is one); every
-    other product is a factor word."""
+    multiply entrywise (giving the identity when every entry is one) unless
+    the product would hold more than MAX_EXPANSION entries; every other
+    product is a factor word."""
     if a.ring != b.ring:
         raise RingError(f"ring mismatch: {a.ring} vs {b.ring}")
     if isinstance(a, Identity):
@@ -500,8 +537,10 @@ def multiply(a: ColFinMatrix, b: ColFinMatrix) -> ColFinMatrix:
         return a
     if isinstance(a, ScalarDiagonal) and isinstance(b, ScalarDiagonal):
         k = max(len(a.prefix), len(b.prefix))
-        prefix = tuple(a.diagonal_entry(i) * b.diagonal_entry(i) for i in range(k))
         period = math.lcm(a.period, b.period)
+        if k + period > MAX_EXPANSION:
+            return ProductMatrix(a.ring, [a, b])
+        prefix = tuple(a.diagonal_entry(i) * b.diagonal_entry(i) for i in range(k))
         tail = tuple(a.diagonal_entry(i) * b.diagonal_entry(i)
                      for i in range(k, k + period))
         d = ScalarDiagonal(a.ring, prefix, tail)
@@ -542,23 +581,17 @@ def invert(m: ColFinMatrix) -> InvertibleColFin:
     if isinstance(m, Permutation):
         return InvertibleColFin(m, Permutation(ring, m.bijection.inverted()))
     if isinstance(m, ScalarDiagonal):
-        inv_prefix = []
-        for idx, d in enumerate(m.prefix):
+        def unit_inverse(d):
             v = rings.is_unit(d)
             if v is None:
-                raise NonInvertibleError(
-                    f"diagonal entry {rings.render(d)} at index {idx} is not a unit",
-                    det=d, block_index=idx)
-            inv_prefix.append(v)
-        tail_inv = []
-        for d in m.tail_cycle:
-            v = rings.is_unit(d)
-            if v is None:
-                raise NonInvertibleError(
-                    f"diagonal tail {rings.render(d)} is not a unit",
-                    det=d, block_index="tail")
-            tail_inv.append(v)
-        return InvertibleColFin(m, ScalarDiagonal(ring, inv_prefix, tail_inv))
+                idx = m.prefix.index(d) if d in m.prefix else "tail"
+                where = f"tail {rings.render(d)}" if idx == "tail" else \
+                    f"entry {rings.render(d)} at index {idx}"
+                raise NonInvertibleError(f"diagonal {where} is not a unit",
+                                         det=d, block_index=idx)
+            return v
+
+        return InvertibleColFin(m, m.map_values(ring, unit_inverse))
     if isinstance(m, FinitePerturbation):
         inv = dense.adjugate_inverse(m.corner, block_index=0)
         return InvertibleColFin(m, FinitePerturbation(ring, inv))
@@ -611,7 +644,7 @@ def profile(m: ColFinMatrix) -> tuple:
         return m.prefix_end, m.period, m.period - 1
     if isinstance(m, Elementary):
         fams = m.families
-        return (max([j + 1 for j in m.head_cols] + [f.start for f in fams],
+        return (max([j + 1 for j in m.head_cols] + [f.last_start for f in fams],
                     default=0),
                 math.lcm(*(f.period for f in fams)),
                 max((abs(o) for f in fams for o, _ in f.entries), default=0))
@@ -651,9 +684,9 @@ def matrix_to_json(m: ColFinMatrix) -> dict:
     if isinstance(m, Identity):
         return {"form": "identity"}
     if isinstance(m, ScalarDiagonal):
-        tail = [r(d) for d in m.tail_cycle]
-        return {"form": "scalar_diagonal", "prefix": [r(d) for d in m.prefix],
-                "tail": tail[0] if m.period == 1 else tail}
+        return {"form": "scalar_diagonal", "prefix": _runs_to_json(m.prefix),
+                "tail": r(m.tail_cycle[0]) if m.period == 1
+                else _runs_to_json(m.tail_cycle)}
     if isinstance(m, FinitePerturbation):
         return {"form": "finite_perturbation",
                 "corner": [[r(v) for v in row] for row in m.corner]}
@@ -670,7 +703,8 @@ def matrix_to_json(m: ColFinMatrix) -> dict:
         if m.families:
             out["families"] = [
                 {"start": f.start, "period": f.period,
-                 "entries": {str(o): r(v) for o, v in f.entries}}
+                 "entries": {str(o): r(v) for o, v in f.entries},
+                 **({"stride": f.stride, "count": f.count} if f.count > 1 else {})}
                 for f in m.families]
         return out
     if isinstance(m, Permutation):
@@ -678,8 +712,13 @@ def matrix_to_json(m: ColFinMatrix) -> dict:
         if isinstance(bij, FinitePermutation):
             return {"form": "permutation",
                     "map": {str(i): s for i, s in bij.mapping}}
-        return {"form": "permutation", "offset": bij.offset,
-                "period": bij.period, "residues": list(bij.residue_images)}
+        out = {"form": "permutation", "offset": bij.offset, "period": bij.period}
+        images = bij.residue_images
+        if all(s == (i + images[0]) % bij.period for i, s in enumerate(images)):
+            out["rotate"] = images[0]
+        else:
+            out["residues"] = list(images)
+        return out
     if isinstance(m, ProductMatrix):
         return {"form": "product", "factors": [matrix_to_json(f) for f in m.factors]}
     raise MatrixFormError(f"cannot serialize form {m.form!r}")
@@ -694,9 +733,11 @@ def matrix_from_json(ring: RingDescriptor, data: dict) -> ColFinMatrix:
         return Identity(ring)
     if form == "scalar_diagonal":
         tail = data["tail"]
-        return ScalarDiagonal(ring, [parse(s) for s in data.get("prefix", [])],
-                              [parse(s) for s in tail] if isinstance(tail, list)
-                              else parse(tail))
+        prefix = _runs_from_json(ring, data.get("prefix", []))
+        cycle = _runs_from_json(ring, tail) if isinstance(tail, list) \
+            else [(parse(tail), 1)]
+        _check_expansion(sum(n for _, n in prefix + cycle), "diagonal entries")
+        return ScalarDiagonal(ring, _expand_runs(prefix), _expand_runs(cycle))
     if form == "finite_perturbation":
         return FinitePerturbation(ring, [[parse(v) for v in row]
                                          for row in data["corner"]])
@@ -710,9 +751,10 @@ def matrix_from_json(ring: RingDescriptor, data: dict) -> ColFinMatrix:
     if form == "elementary":
         head = {int(j): {int(i): parse(v) for i, v in col.items()}
                 for j, col in data.get("cols", {}).items()}
-        fams = [ColumnFamily(f["start"], f["period"],
+        fams = [ColumnFamily(_json_int(f, "start"), _json_int(f, "period"),
                              tuple((int(o), parse(v))
-                                   for o, v in f["entries"].items()))
+                                   for o, v in f["entries"].items()),
+                             _json_int(f, "stride", 1), _json_int(f, "count", 1))
                 for f in data.get("families", [])]
         return Elementary(ring, head, fams)
     if form == "permutation":
@@ -720,9 +762,14 @@ def matrix_from_json(ring: RingDescriptor, data: dict) -> ColFinMatrix:
             bij = FinitePermutation(tuple(sorted(
                 (int(i), int(s)) for i, s in data["map"].items())))
         else:
-            bij = BlockPeriodicPermutation(int(data.get("offset", 0)),
-                                           int(data["period"]),
-                                           tuple(data["residues"]))
+            period = int(data["period"])
+            if "rotate" in data:
+                if "residues" in data:
+                    raise MatrixFormError("a permutation gives residues or rotate, not both")
+                images = _rotation(_json_int(data, "rotate"), period)
+            else:
+                images = tuple(data["residues"])
+            bij = BlockPeriodicPermutation(int(data.get("offset", 0)), period, images)
         return Permutation(ring, bij)
     if form == "product":
         try:
@@ -733,3 +780,47 @@ def matrix_from_json(ring: RingDescriptor, data: dict) -> ColFinMatrix:
             raise MatrixFormError("product forms nested too deeply") from None
         return ProductMatrix(ring, factors)
     raise MatrixFormError(f"unknown matrix form {form!r}")
+
+
+def _json_int(data: dict, key: str, default=None) -> int:
+    value = data.get(key, default) if default is not None else data[key]
+    if type(value) is not int:
+        raise MatrixFormError(f"{key!r} must be an integer, got {value!r:.40}")
+    return value
+
+
+def _runs_to_json(seq) -> list:
+    """Diagonal entries with every maximal run of two or more equal entries
+    written as [expr, count]; each run is rendered once."""
+    out = []
+    for d, run in itertools.groupby(seq):
+        n = sum(1 for _ in run)
+        out.append(rings.render(d) if n == 1 else [rings.render(d), n])
+    return out
+
+
+def _runs_from_json(ring, items) -> list:
+    """(element, count) pairs of a diagonal entry list: a string is one
+    entry, an [expr, count] pair a run of count equal entries, parsed once."""
+    runs = []
+    for item in items:
+        if isinstance(item, list):
+            if len(item) != 2 or type(item[1]) is not int or item[1] < 1:
+                raise MatrixFormError(
+                    f"a diagonal run is [expr, count] with count >= 1, got {item!r:.40}")
+            runs.append((rings.parse_element(ring, item[0]), item[1]))
+        else:
+            runs.append((rings.parse_element(ring, item), 1))
+    return runs
+
+
+def _expand_runs(runs) -> tuple:
+    return tuple(d for d, n in runs for _ in range(n))
+
+
+def _rotation(rotate: int, period: int) -> tuple:
+    """The residue images of the rotation i -> (i + rotate) mod period."""
+    _check_expansion(period, "permutation residues")
+    if period >= 1 and not 0 <= rotate < period:
+        raise MatrixFormError(f"rotate must satisfy 0 <= rotate < period, got {rotate}")
+    return tuple((i + rotate) % period for i in range(period))

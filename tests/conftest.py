@@ -83,3 +83,23 @@ def two_sided_on_window(matrix, inverse, n):
     ident = window(Identity(matrix.ring), n)
     return all(window(multiply(a, b), n) == ident
                for a, b in ((matrix, inverse), (inverse, matrix)))
+
+
+def apply_to_matrix(word, m):
+    """The oracle for an elementary word acting on a matrix: "L" steps
+    multiply on the left, "R" steps on the right, in listed order."""
+    for step in word.steps:
+        m = multiply(step.inv.matrix, m) if step.side == "L" \
+            else multiply(m, step.inv.matrix)
+    return m
+
+
+def inverse_apply(bijection, j):
+    """sigma^-1(j) by search: among the moved indices of a finite
+    permutation, or within the period-sized block holding j."""
+    if isinstance(bijection, FinitePermutation):
+        return next((i for i, s in bijection.mapping if s == j), j)
+    if j < bijection.offset:
+        return j
+    base = j - (j - bijection.offset) % bijection.period
+    return next(i for i in range(base, base + bijection.period) if bijection(i) == j)

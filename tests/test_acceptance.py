@@ -9,7 +9,7 @@ import itertools
 import random
 import time
 
-from conftest import random_invertible_mod, random_structured
+from conftest import apply_to_matrix, random_invertible_mod, random_structured
 
 from colift import dense, matrices, rings, skolem
 from colift import cohomology as C
@@ -85,7 +85,7 @@ def test_criterion_3_whitehead_suite():
                 for j in range(k):
                     corner[i][j] = a[i][j]
                     corner[k + i][k + j] = b[i][j]
-            out = word.apply_to_matrix(FinitePerturbation(ring, corner))
+            out = apply_to_matrix(word, FinitePerturbation(ring, corner))
             got = window(out, 2 * k)
             expect = dense.mat_mul(a, b)
             for i in range(2 * k):

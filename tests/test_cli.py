@@ -156,15 +156,7 @@ def test_lift_zero_size_blocks(tmp_path, capsys, matrix, expected):
 def test_verify_zero_size_factors(tmp_path, capsys, matrix, expected):
     """A certificate factor with a 0x0 block ends in an exit code: the 0x0
     corner is outside the liftable classes, a 0x0 block is malformed."""
-    path = _write(tmp_path / "id.json", "Z/5", {"form": "identity"})
-    cert = tmp_path / "cert.json"
-    code, _, _ = run_cli(["lift", "--hom", "z_to_z5", "--matrix", str(path),
-                          "--window", "16", "--out", str(cert)], capsys)
-    assert code == 0
-    data = json.loads(cert.read_text(encoding="utf-8"))
-    data["factors"].append({"tag": "generator", "side": "L", "matrix": matrix})
-    data["content_hash"] = lifting._content_hash(data)
-    cert.write_text(json.dumps(data), encoding="utf-8")
+    cert = _certificate_with_factor(tmp_path, capsys, matrix)
     code, _, stderr = run_cli(["verify", "--certificate", str(cert),
                                "--window", "16"], capsys)
     assert code == expected
@@ -174,18 +166,10 @@ def test_verify_zero_size_factors(tmp_path, capsys, matrix, expected):
 def test_verify_block_over_the_dense_cap_exits_3(tmp_path, capsys):
     """A certificate factor with a non-diagonal 33x33 block is outside the
     dense cap: exit 3, as for `lift`."""
-    path = _write(tmp_path / "id.json", "Z/5", {"form": "identity"})
-    cert = tmp_path / "cert.json"
-    code, _, _ = run_cli(["lift", "--hom", "z_to_z5", "--matrix", str(path),
-                          "--window", "16", "--out", str(cert)], capsys)
-    assert code == 0
-    data = json.loads(cert.read_text(encoding="utf-8"))
     n = 33
     block = [[str(int(c in (r, r + 1))) for c in range(n)] for r in range(n)]
-    data["factors"].append({"tag": "generator", "side": "L", "matrix": {
-        "form": "block_diagonal", "prefix": [block], "tail": None}})
-    data["content_hash"] = lifting._content_hash(data)
-    cert.write_text(json.dumps(data), encoding="utf-8")
+    cert = _certificate_with_factor(tmp_path, capsys, {
+        "form": "block_diagonal", "prefix": [block], "tail": None})
     code, _, stderr = run_cli(["verify", "--certificate", str(cert),
                                "--window", "16"], capsys)
     assert code == 3
@@ -223,7 +207,9 @@ def test_lift_elementary_input(tmp_path, capsys):
 def test_lift_permutation_input(tmp_path, capsys):
     path = _write(tmp_path / "p.json", "Z/5", PERMUTATION)
     cert = _lift_and_verify(tmp_path, capsys, "z_to_z5", path)
-    assert cert["factors"][0]["matrix"] == PERMUTATION
+    # residues 2, 0, 1 are the rotation by 2, which the writer names
+    assert cert["factors"][0]["matrix"] == {"form": "permutation", "offset": 1,
+                                            "period": 3, "rotate": 2}
 
 
 def test_lift_long_scalar_tail_cycle(tmp_path, capsys):
@@ -396,6 +382,82 @@ def test_malformed_permutation_exits_2(tmp_path, capsys, matrix):
                                "--window", "8"], capsys)
     assert code == 2
     assert "Traceback" not in stderr
+
+
+def _family(stride=1, count=1, start=0, period=4, entries=None):
+    return {"start": start, "period": period, "entries": entries or {"2": "1"},
+            "stride": stride, "count": count}
+
+
+HOSTILE_RUNS = [
+    ({"form": "elementary", "cols": {}, "families": [_family(stride=0, count=2)]},
+     "stride and count must be at least 1"),
+    ({"form": "elementary", "cols": {}, "families": [_family(count=0)]},
+     "stride and count must be at least 1"),
+    ({"form": "elementary", "cols": {}, "families": [_family(count="2")]},
+     "'count' must be an integer"),
+    ({"form": "elementary", "cols": {}, "families": [
+        _family(count=2), _family(start=5)]},
+     "overlapping column families"),
+    ({"form": "elementary", "cols": {}, "families": [
+        _family(period=2, count=3, entries={"5": "1"})]},
+     "overlapping column families"),
+    ({"form": "elementary", "cols": {}, "families": [
+        _family(period=2, count=10 ** 12)]},
+     "overlapping column families"),
+    ({"form": "elementary", "cols": {}, "families": [
+        _family(period=10 ** 12, count=10 ** 9, entries={"-1": "1"}, start=1)]},
+     "MAX_EXPANSION"),
+    ({"form": "scalar_diagonal", "prefix": [["1", 10 ** 12]], "tail": "1"},
+     "MAX_EXPANSION"),
+    ({"form": "scalar_diagonal", "prefix": [], "tail": [["1", 0]]},
+     "count >= 1"),
+    ({"form": "permutation", "offset": 0, "period": 10 ** 12, "rotate": 1},
+     "MAX_EXPANSION"),
+    ({"form": "permutation", "offset": 0, "period": 4, "rotate": 4},
+     "0 <= rotate < period"),
+    ({"form": "permutation", "offset": 0, "period": 4, "rotate": -1},
+     "0 <= rotate < period"),
+]
+
+
+@pytest.mark.parametrize("matrix, message", HOSTILE_RUNS, ids=[
+    "stride-0", "count-0", "count-str", "runs-overlap", "count-over-period",
+    "huge-count-over-period", "huge-expansion", "huge-diagonal-run",
+    "diagonal-run-count-0", "huge-rotation", "rotate-is-period", "rotate-negative"])
+def test_hostile_compressed_forms_exit_2_quickly(tmp_path, capsys, matrix, message):
+    """Runs, [expr, count] pairs and rotations are bounded before they are
+    expanded, in a matrix file and as a certificate factor."""
+    path = _write(tmp_path / "m.json", "Z/5", matrix)
+    cert = _certificate_with_factor(tmp_path, capsys, matrix)
+    for argv in (["lift", "--hom", "z_to_z5", "--matrix", str(path)],
+                 ["verify", "--certificate", str(cert)]):
+        t0 = time.perf_counter()
+        code, _, stderr = run_cli(argv + ["--window", "8"], capsys)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2
+        assert message in stderr and "Traceback" not in stderr
+
+
+def test_flagship_certificate_size_is_flat_in_the_window(tmp_path, udiag_file, capsys):
+    """The window-64 flagship certificate the CLI writes is under 10 KB, and
+    at window 1024 it is at most 1.2x that, as for a Z/101 block diagonal
+    with a 3x3 prefix block and a k=4 tail."""
+    rng = random.Random(9)
+    rendered = lambda k: [[rings.render(v) for v in row]
+                          for row in random_invertible_mod(rings.residue(101), k, rng)]
+    blocks = _write(tmp_path / "blocks.json", "Z/101", {
+        "form": "block_diagonal", "prefix": [rendered(3)], "tail": rendered(4)})
+    sizes = {}
+    for hom, path in (("zxy_to_laurent", udiag_file), ("z_to_z101", blocks)):
+        for window in (64, 1024):
+            out = tmp_path / f"{hom}_{window}.json"
+            code, _, _ = run_cli(["lift", "--hom", hom, "--matrix", str(path),
+                                  "--window", str(window), "--out", str(out)], capsys)
+            assert code == 0
+            sizes[hom, window] = out.stat().st_size
+        assert sizes[hom, 1024] <= 1.2 * sizes[hom, 64]
+    assert sizes["zxy_to_laurent", 64] < 10_000
 
 
 @pytest.mark.parametrize("expr", ["(1+u)^300000", "(2)^99999999"])

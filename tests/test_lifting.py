@@ -1,3 +1,4 @@
+import collections
 import copy
 import dataclasses
 import functools
@@ -9,7 +10,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from colift import dense, lifting, matrices, rings
+from colift import dense, homs, lifting, matrices, rings
 from colift.homs import HomRegistry
 from colift.lifting import (UnsupportedMatrixError,
                             WitnessError, certificate_from_json,
@@ -21,7 +22,7 @@ from colift.matrices import (BlockDiagonal, Elementary, FinitePerturbation,
                              ProductMatrix, ScalarDiagonal, invert, window)
 from colift.rings import BezoutWitness
 
-from conftest import two_sided_on_window
+from conftest import apply_to_matrix, two_sided_on_window
 
 REG = HomRegistry.builtin()
 FLAGSHIP = REG.get("zxy_to_laurent")
@@ -118,7 +119,7 @@ def _apply_whitehead(word, a_rows, b_rows, ring):
         for j in range(k):
             corner[i][j] = a_rows[i][j]
             corner[k + i][k + j] = b_rows[i][j]
-    return word.apply_to_matrix(FinitePerturbation(ring, corner))
+    return apply_to_matrix(word, FinitePerturbation(ring, corner))
 
 
 def test_whitehead_identity_blocks():
@@ -584,15 +585,15 @@ def test_lift_inverts_each_input_block_once(monkeypatch):
 # hashes together with docs/formats.md.
 GOLDEN_CERTIFICATES = [
     ("zxy_to_laurent", ScalarDiagonal(LAU, (), LAU.variable("u")),
-     "db86be7972f9a8a8c6f0a52c24186aaa34e7107e5f7206db0807163b83d3a744"),
+     "2a69882e85eb6e31c5d8f581c4ba43363cb5af10f6c7ca26cb50c6711cda124c"),
     ("z_to_z101", BlockDiagonal(Z101, [], ints(Z101, [[2, 9], [4, 7]])),
-     "cbb29885b2ec2cbf6d06e821a0a2233387f5b87f762f1d1f97c131fdadfe3bf3"),
+     "186d887698a631df097ffe3e5d8d62830bf624719257d032c530f4bdfddfba3b"),
     ("z_to_z101", FinitePerturbation(Z101, ints(Z101, [[3, 7, 1, 0], [0, 2, 5, 1],
                                                        [9, 0, 1, 4], [2, 2, 0, 3]])),
-     "d1304f640b2a7023ff68502ef1b02910af49c1a2f530ae89df30b9bd81ca0154"),
+     "452cfbe49f4821f5cd779e83cccf75a8b4d07978ac4d238132821477c2883044"),
     ("z_to_z5", BlockDiagonal(Z5, [ints(Z5, [[2]]), ints(Z5, [[1, 1], [0, 1]]),
                                    ints(Z5, [[3]])], ints(Z5, [[2, 1], [1, 1]])),
-     "8be6bff7979deeab609cb349a2b981e7d71eb85b688632082ea6c2b3d980ba1d"),
+     "7b15d73af4dc4d31ccac334bdcde56597c9faf0f72bcc63e8b043dab54d2d81d"),
 ]
 
 
@@ -618,6 +619,29 @@ def test_sign_factors_stay_linear_in_the_window():
     for m in signs:
         assert m["form"] == "scalar_diagonal"
         assert len(m["prefix"]) + len(m["tail"]) <= 3 * horizon
+
+
+def test_ring_work_is_flat_in_the_window(monkeypatch):
+    """gl_lift followed by verify_certificate applies the hom and its section
+    as often at window 1024 as at window 64 on the flagship: each swindle
+    run is lifted and mapped once, and each distinct sign entry once."""
+    counts = collections.Counter()
+
+    def counting(name, fn):
+        def wrapped(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(homs, "hom_apply", counting("apply", homs.hom_apply))
+    monkeypatch.setattr(lifting, "hom_section", counting("section", lifting.hom_section))
+    seen = []
+    for window in (64, 1024):
+        counts.clear()
+        cert = gl_lift(FLAGSHIP, ScalarDiagonal(LAU, (), LAU.variable("u")), window)
+        assert verify_certificate(cert, window).passed
+        seen.append(dict(counts))
+    assert seen[0] == seen[1] and seen[0]["apply"] > 0 and seen[0]["section"] > 0
 
 
 def test_verify_certificate_from_json_identity():
@@ -752,13 +776,22 @@ def _tamper_certificate(data, kind, rng):
             m["tail"] = [m["tail"]]
         seq = rng.choice([s for s in (m["prefix"], m["tail"]) if s])
         i = rng.randrange(len(seq))
-        seq[i] = "1" if seq[i] == "-1" else "-1"
+        flip = lambda e: "1" if e == "-1" else "-1"
+        if isinstance(seq[i], list):        # flip one entry inside a run
+            expr, count = seq[i]
+            at = rng.randrange(count)
+            pieces = [[expr, at], flip(expr), [expr, count - at - 1]]
+            seq[i:i + 1] = [p for p in pieces if not (isinstance(p, list) and p[1] == 0)]
+        else:
+            seq[i] = flip(seq[i])
     elif kind == "residue" and forms("permutation"):
         m = rng.choice(forms("permutation"))
         if "residues" in m:
             seq = m["residues"]
             a, b = rng.sample(range(len(seq)), 2)
             seq[a], seq[b] = seq[b], seq[a]
+        elif "rotate" in m:
+            m["rotate"] = (m["rotate"] + rng.randrange(1, m["period"])) % m["period"]
         else:
             a, b = rng.sample(sorted(m["map"]), 2)
             m["map"][a], m["map"][b] = m["map"][b], m["map"][a]
@@ -795,8 +828,7 @@ def _corrupt_inverse(pair, kind, rng):
             where[key] = where[key] + ring.one()
         else:
             where[key] = (where[key][0], where[key][1] + ring.one())
-        g = Elementary(ring, cols, [matrices.ColumnFamily(fam.start, fam.period,
-                                                          tuple(entries))
+        g = Elementary(ring, cols, [fam._replace(entries=tuple(entries))
                                     for fam, entries in zip(g.families, families)])
     elif kind == "inv-family":
         if g.families:

@@ -17,7 +17,7 @@ from colift.matrices import (BlockDiagonal, BlockPeriodicPermutation,
                              matrix_from_json, matrix_to_json, multiply,
                              window)
 
-from conftest import two_sided_on_window
+from conftest import inverse_apply, two_sided_on_window
 
 REG = HomRegistry.builtin()
 FLAGSHIP = REG.get("zxy_to_laurent")
@@ -421,8 +421,8 @@ def test_matrix_json_roundtrip():
 def test_index_bijection_forward_inverse_on_window():
     bij = BlockPeriodicPermutation(2, 3, (1, 2, 0))
     for idx in range(40):
-        assert bij.inverse_apply(bij(idx)) == idx
-        assert bij(bij.inverse_apply(idx)) == idx
+        assert inverse_apply(bij, bij(idx)) == idx
+        assert bij(inverse_apply(bij, idx)) == idx
 
 
 def test_window_rendered_row_major():
@@ -620,3 +620,132 @@ def test_bucketed_elementary_validation_matches_pairwise(heads, fams):
 def test_elementary_family_period_must_be_positive():
     with pytest.raises(MatrixFormError):
         Elementary(Z, {}, [ColumnFamily(0, 0, ((1, Z.one()),))])
+
+
+# ---------------------------------------------------------------------------
+# compressed forms against their expansion
+# ---------------------------------------------------------------------------
+
+def _built(make):
+    """The form `make` builds, or the message of its MatrixFormError."""
+    try:
+        return make()
+    except MatrixFormError as exc:
+        return str(exc)
+
+
+def _compare_expansions(pairs, n):
+    """Each (compressed, expanded) pair either fails with one message or
+    builds two forms with equal columns below n that the decider calls
+    equal; and when every form builds, the two compressed forms compare as
+    the two expanded ones do."""
+    for m, m_exp in pairs:
+        if isinstance(m, str) or isinstance(m_exp, str):
+            assert m == m_exp
+            continue
+        assert all(m.column(j) == m_exp.column(j) for j in range(n))
+        assert eq_eventually_periodic(m, m_exp)
+    (a, a_exp), (b, b_exp) = pairs
+    if not any(isinstance(m, str) for m in (a, a_exp, b, b_exp)):
+        assert eq_eventually_periodic(a, b) == eq_eventually_periodic(a_exp, b_exp)
+
+
+_runs = st.lists(
+    st.tuples(st.integers(0, 12), st.sampled_from([1, 2, 3, 4, 6, 9]),
+              st.dictionaries(st.integers(-7, 7), st.integers(-3, 3),
+                              min_size=1, max_size=2),
+              st.integers(1, 5), st.integers(1, 4)),
+    max_size=3)
+
+
+def _run_forms(heads, runs):
+    """An elementary form built from (start, period, entries, stride, count)
+    runs, and one built from the same runs expanded into count-1 families."""
+    head = {j: {i: Z.from_int(v) for i, v in col.items()} for j, col in heads.items()}
+    families = [ColumnFamily(s, p, tuple((o, Z.from_int(v)) for o, v in e.items()),
+                             stride, count)
+                for s, p, e, stride, count in runs]
+    expanded = [ColumnFamily(f.start + k * f.stride, f.period, f.entries)
+                for f in families for k in range(f.count)]
+    return (_built(lambda: Elementary(Z, head, families)),
+            _built(lambda: Elementary(Z, head, expanded)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_heads, _runs, _runs)
+# columns {4t} and {9 + 4t} against {4t} and {5 + 4t}: they differ only at
+# column 5, past every run start but below the last one; a profile built
+# from `start` instead of the last start, 0 for both, reads columns 0..3
+@example({}, [(0, 4, {2: 1}, 9, 2)], [(0, 4, {2: 1}, 5, 2)])
+def test_family_runs_match_their_expansion(heads, runs_a, runs_b):
+    n = 3 * max((s + count * stride + p for s, p, _, stride, count in runs_a + runs_b),
+                default=1)
+    _compare_expansions([_run_forms(heads, runs_a), _run_forms(heads, runs_b)],
+                        max(n, 3 * max(heads, default=0) + 3))
+
+
+_diagonal_runs = st.lists(
+    st.tuples(st.sampled_from(["1", "-1", "u", "u^-1", "2"]), st.integers(1, 4)),
+    max_size=4)
+
+
+def _diagonal_forms(prefix, tail):
+    """A scalar diagonal read from [expr, count] runs, and one read from the
+    same entries written out; an empty tail is malformed in both."""
+    pairs = lambda runs: [e if n == 1 else [e, n] for e, n in runs]
+    flat = lambda runs: [e for e, n in runs for _ in range(n)]
+    read = lambda spell: _built(lambda: matrix_from_json(LAU, {
+        "form": "scalar_diagonal", "prefix": spell(prefix), "tail": spell(tail)}))
+    return read(pairs), read(flat)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_diagonal_runs, _diagonal_runs, _diagonal_runs, _diagonal_runs)
+def test_diagonal_runs_match_their_expansion(prefix_a, tail_a, prefix_b, tail_b):
+    forms = [_diagonal_forms(prefix_a, tail_a), _diagonal_forms(prefix_b, tail_b)]
+    n = 3 * sum(n for _, n in prefix_a + tail_a + prefix_b + tail_b) + 3
+    _compare_expansions(forms, n)
+    for m, m_exp in forms:
+        if not isinstance(m, str):
+            data = matrix_to_json(m)
+            assert data == matrix_to_json(m_exp)
+            runs = [item for item in data["prefix"] + list(data["tail"])
+                    if isinstance(item, list)]
+            assert all(count >= 2 for _, count in runs)
+            back = matrix_from_json(LAU, json.loads(json.dumps(data)))
+            assert all(back.column(j) == m.column(j) for j in range(n))
+
+
+def _rotation_forms(offset, period, rotate):
+    spec = {"form": "permutation", "offset": offset, "period": period}
+    residues = [(i + rotate) % period for i in range(max(period, 0))]
+    return (_built(lambda: matrix_from_json(Z, {**spec, "rotate": rotate})),
+            _built(lambda: matrix_from_json(Z, {**spec, "residues": residues})))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-1, 3), st.integers(0, 8), st.integers(0, 8),
+       st.integers(-1, 3), st.integers(0, 8), st.integers(0, 8))
+def test_rotations_match_their_residues(offset_a, period_a, rot_a,
+                                        offset_b, period_b, rot_b):
+    forms = [_rotation_forms(offset_a, period_a, rot_a % max(period_a, 1)),
+             _rotation_forms(offset_b, period_b, rot_b % max(period_b, 1))]
+    _compare_expansions(forms, 3 * (max(offset_a, offset_b) + 2 * 8) + 3)
+    for m, _ in forms:
+        if not isinstance(m, str):
+            assert "rotate" in matrix_to_json(m)
+
+
+def test_runs_are_written_compressed_and_read_back():
+    """A count-1 family is written as before, a longer run with its stride
+    and count; a permutation that is no rotation keeps its residues."""
+    e = Elementary(Z, {}, [ColumnFamily(0, 16, ((8, Z.one()),)),
+                           ColumnFamily(1, 16, ((8, Z.from_int(2)),), 2, 3)])
+    data = matrix_to_json(e)
+    assert data["families"] == [
+        {"start": 0, "period": 16, "entries": {"8": "1"}},
+        {"start": 1, "period": 16, "entries": {"8": "2"}, "stride": 2, "count": 3}]
+    assert eq_eventually_periodic(matrix_from_json(Z, data), e)
+    assert matrices.profile(e)[0] == 5          # the last start of the run
+    swap = Permutation(Z, BlockPeriodicPermutation(0, 4, (1, 0, 3, 2)))
+    assert matrix_to_json(swap)["residues"] == [1, 0, 3, 2]
