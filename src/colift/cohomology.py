@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 from . import rings
@@ -23,6 +22,19 @@ TWIST_RESTRICTION_NOTE = (
     "twist sheaves are restricted to direct sums of line bundles O(d); "
     "verdicts are exact for these and are not claimed for general coherent "
     "twists")
+
+# Caps on the report parameters whose work or output grows without limit;
+# each keeps a report under 1 s and 2 MB of output, and keeps every printed
+# integer far below Python's 4,300-digit conversion limit.
+MAX_HORIZON = 1024  # every report walks its levels; 2^horizon is printed
+MAX_WINDOW = 128    # the punctured report prints ~window^2/2 class lines
+MAX_STAGES = 64     # only enlarges the closed-form generator count
+MAX_BOUND = 64      # the non-free check visits (bound+1)(bound+2)/2 monomials
+
+
+def _check_horizon(horizon: int) -> None:
+    if horizon > MAX_HORIZON:
+        raise ValueError(f"horizon must be <= {MAX_HORIZON} (MAX_HORIZON)")
 
 
 def coh_dim(n: int, d: int, q: int) -> int:
@@ -84,58 +96,39 @@ class LineBundleSum:
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """A level-indexed system of line-bundle sums with one of three explicit
+    """A level-indexed system of line-bundle sums with one of two explicit
     transition kinds.
 
     standard: term(k) = O(k)^(m^k) with the transition tensoring by the
     m-tuple of coordinate sections (every summand degree grows by 1; m^k
     copies at level k).  shifted_sum: the direct sum over all shifts of the
     standard system twisted by O(-1); a fresh O(-1) summand is born at each
-    level and every existing strand's degree grows by 1.  constant: the same
-    sum at every level with identity transitions.
+    level and every existing strand's degree grows by 1.
+
+    Every strand of one system is born in the same degree, min_degree(0),
+    and gains one degree per transition, so the strand born at level 0
+    decides every colimit condition for all of them.
     """
 
     n: int
-    kind: str                 # "standard" | "shifted_sum" | "constant"
-    sections: int = 0         # m, for standard/shifted_sum
-    base: Optional[LineBundleSum] = None   # for constant
+    kind: str                 # "standard" | "shifted_sum"
+    sections: int             # m
 
     def term(self, k: int) -> LineBundleSum:
         if self.kind == "standard":
             return LineBundleSum(self.n, ((k, self.sections ** k),))
-        if self.kind == "shifted_sum":
-            return LineBundleSum(
-                self.n, tuple((i - 1, self.sections ** i) for i in range(k + 1)))
-        if self.kind == "constant":
-            return self.base
-        raise ValueError(f"unknown transition kind {self.kind!r}")
+        return LineBundleSum(
+            self.n, tuple((i - 1, self.sections ** i) for i in range(k + 1)))
 
-    def strands(self, horizon: int):
-        """(birth level, degree at birth, multiplicity) for every summand
-        strand born at levels 0..horizon."""
-        if self.kind == "standard":
-            return [(0, 0, 1)]
-        if self.kind == "shifted_sum":
-            return [(b, -1, self.sections ** b) for b in range(horizon + 1)]
-        if self.kind == "constant":
-            return [(0, e, m) for e, m in self.base.degrees]
-        raise ValueError(f"unknown transition kind {self.kind!r}")
-
-    @property
-    def degree_step(self) -> int:
-        """How much a strand's degree grows per level."""
-        return 0 if self.kind == "constant" else 1
-
-    def rank_strictly_increasing(self, horizon: int) -> bool:
-        ranks = [self.term(k).rank for k in range(horizon + 1)]
-        return all(a < b for a, b in zip(ranks, ranks[1:]))
+    def min_degree(self, k: int) -> int:
+        """term(k).min_degree, without building the term: the standard
+        strand has degree k, and the shifted sum's freshest strand -1."""
+        return k if self.kind == "standard" else -1
 
     def describe(self) -> str:
         if self.kind == "standard":
             return f"standard system on P^{self.n} (m = {self.sections})"
-        if self.kind == "shifted_sum":
-            return f"shifted-sum system on P^{self.n} (m = {self.sections})"
-        return f"constant system {self.base.describe()} on P^{self.n}"
+        return f"shifted-sum system on P^{self.n} (m = {self.sections})"
 
 
 def standard_system(n: int) -> SystemSpec:
@@ -154,10 +147,6 @@ def shifted_sum_system(n: int = 1) -> SystemSpec:
     return SystemSpec(n, "shifted_sum", sections=n + 1)
 
 
-def constant_system(base: LineBundleSum) -> SystemSpec:
-    return SystemSpec(base.n, "constant", base=base)
-
-
 # ---------------------------------------------------------------------------
 # Condition checks
 # ---------------------------------------------------------------------------
@@ -165,7 +154,7 @@ def constant_system(base: LineBundleSum) -> SystemSpec:
 @dataclass(frozen=True)
 class TwistVerdict:
     twist: int
-    outcome: str              # "THRESHOLD" | "NONE" | "PASS" | "FAIL" | "INCONCLUSIVE"
+    outcome: str              # "THRESHOLD" | "NONE" | "PASS" | "INCONCLUSIVE"
     threshold: Optional[int]  # least stable level for termwise conditions
     detail: str
 
@@ -214,7 +203,7 @@ def parse_condition(cond: str):
     raise ValueError(f"unknown condition {cond!r}; use G, G', V<l> or V'<l>")
 
 
-def _termwise_threshold(system: SystemSpec, passes, horizon: int):
+def _termwise_threshold(passes, horizon: int):
     """Least level from which `passes` holds through the horizon, or None."""
     threshold = None
     for k in range(horizon, -1, -1):
@@ -236,6 +225,7 @@ def check_condition(system: SystemSpec, cond: str, twists, horizon: int) -> Cond
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    _check_horizon(horizon)
     family, colimit, level = parse_condition(cond)
     verdicts = []
     for d in twists:
@@ -252,8 +242,8 @@ def check_condition(system: SystemSpec, cond: str, twists, horizon: int) -> Cond
 
 def _check_g(system, d, horizon):
     def passes(k):
-        return system.term(k).twist(d).min_degree >= 0
-    t = _termwise_threshold(system, passes, horizon)
+        return system.min_degree(k) + d >= 0
+    t = _termwise_threshold(passes, horizon)
     if t is None:
         return TwistVerdict(d, "NONE", None,
                             "some summand degree stays negative at every level")
@@ -262,13 +252,15 @@ def _check_g(system, d, horizon):
 
 
 def _check_v(system, d, level, horizon):
+    """H^q vanishes for 0 < q < n, and H^n(O(e)) vanishes exactly when
+    e > -n - 1, so a term passes when q = n is above `level` or its least
+    degree has no top cohomology."""
     n = system.n
 
     def passes(k):
-        term = system.term(k).twist(d)
-        return all(term.cohomology(q) == 0 for q in range(level + 1, n + 1))
+        return level >= n or system.min_degree(k) + d > -n - 1
 
-    t = _termwise_threshold(system, passes, horizon)
+    t = _termwise_threshold(passes, horizon)
     if t is None:
         return TwistVerdict(d, "NONE", None,
                             f"H^q stays nonzero for some q >= {level + 1}")
@@ -277,77 +269,44 @@ def _check_v(system, d, level, horizon):
 
 
 def _check_g_colim(system, d, horizon):
-    """Every summand strand must reach degree >= 0 within `horizon`
-    transition steps of its birth (strands are shift-invariant, so tracking
-    one representative per birth decides all of them)."""
-    step = system.degree_step
-    worst = 0
-    for birth, e, _mult in system.strands(horizon):
-        e += d
-        if e >= 0:
-            continue
-        if step == 0:
-            return TwistVerdict(d, "FAIL", None,
-                                "identity transitions: a negative-degree "
-                                "summand never becomes globally generated")
-        steps_needed = -e
-        if steps_needed > horizon:
-            return TwistVerdict(d, "INCONCLUSIVE", None,
-                                f"a strand (born at level {birth}) is still "
-                                f"ungenerated after {horizon} steps")
-        worst = max(worst, steps_needed)
+    """The strand born at level 0, in degree e = min_degree(0) + d, needs
+    max(0, -e) steps to reach degree >= 0; every other strand is a shift
+    of it."""
+    steps_needed = max(0, -(system.min_degree(0) + d))
+    if steps_needed > horizon:
+        return TwistVerdict(d, "INCONCLUSIVE", None,
+                            "a strand (born at level 0) is still "
+                            f"ungenerated after {horizon} steps")
     return TwistVerdict(d, "PASS", None,
                         "every summand strand is globally generated within "
-                        f"{worst} steps of its birth")
-
-
-def _top_class_death_steps(n: int, e: int) -> int:
-    """Steps until every monomial path kills a top-cohomology class of
-    O(e): a class x^a with all a_i <= -1 survives one step per available
-    increment, sum(-1 - a_i) = -e - n - 1 of them."""
-    return max(0, -e - n)
+                        f"{steps_needed} steps of its birth")
 
 
 def _check_v_colim(system, d, level, horizon):
+    """Only H^n can be nonzero above degree 0.  A class x^a of H^n(O(e)),
+    all a_i <= -1, survives one step per available increment,
+    sum(-1 - a_i) = -e - n - 1 of them, so every class dies after
+    -e - n steps."""
     n = system.n
     if level + 1 > n:
         return TwistVerdict(d, "PASS", None,
                             f"no cohomology above degree {level} on P^{n}")
-    step = system.degree_step
-    worst = 0
-    for birth, e, _mult in system.strands(horizon):
-        e += d
-        for q in range(level + 1, n + 1):
-            if coh_dim(n, e, q) == 0:
-                continue
-            if step == 0:
-                return TwistVerdict(d, "FAIL", None,
-                                    "identity transitions: a nonvanishing "
-                                    f"H^{q} class persists in the colimit")
-            death_steps = _top_class_death_steps(n, e)
-            if death_steps > horizon:
-                return TwistVerdict(d, "INCONCLUSIVE", None,
-                                    f"a class (born at level {birth}) is "
-                                    f"still alive after {horizon} steps")
-            worst = max(worst, death_steps)
+    e = system.min_degree(0) + d
+    death_steps = 0
+    if e <= -n - 1:
+        death_steps = -e - n
+        if death_steps > horizon:
+            return TwistVerdict(d, "INCONCLUSIVE", None,
+                                "a class (born at level 0) is "
+                                f"still alive after {horizon} steps")
     return TwistVerdict(d, "PASS", None,
                         "every class dies in the colimit within "
-                        f"{worst} steps of its birth")
+                        f"{death_steps} steps of its birth")
 
 
 # ---------------------------------------------------------------------------
 # Punctured plane: (V_0) fails while (V_0') holds
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _death_steps(a: int, b: int) -> int:
-    """Steps until the class x^-a y^-b on the punctured plane dies: images
-    under one transition are the classes x^-(a-1) y^-b and x^-a y^-(b-1);
-    a class is alive while both exponents are >= 1."""
-    if a < 1 or b < 1:
-        return 0
-    return 1 + max(_death_steps(a - 1, b), _death_steps(a, b - 1))
-
 
 @dataclass(frozen=True)
 class PuncturedPlaneReport:
@@ -390,13 +349,20 @@ def punctured_plane_v0_report(window: int, horizon: int) -> PuncturedPlaneReport
     """For the standard system pulled back to the punctured plane: the
     windowed H^1 basis {x^-a y^-b : a, b >= 1, a+b <= window} is nonempty at
     every level (so termwise vanishing fails), while each class dies after
-    finitely many transition steps (so the colimit vanishes)."""
+    finitely many transition steps (so the colimit vanishes).
+
+    One transition sends x^-a y^-b to x^-(a-1) y^-b and x^-a y^-(b-1), and a
+    class is alive while both exponents are >= 1, so the longest path out of
+    it lowers a to 1 and b to 1 and then takes one last step: the class dies
+    after a + b - 1 steps."""
     if window < 2:
         raise ValueError("window must be >= 2")
-    classes = [(a, b) for a in range(1, window) for b in range(1, window)
-               if a + b <= window]
-    deaths = tuple((a, b, _death_steps(a, b)) for a, b in sorted(classes))
-    per_copy = len(classes)
+    if window > MAX_WINDOW:
+        raise ValueError(f"window must be <= {MAX_WINDOW} (MAX_WINDOW)")
+    _check_horizon(horizon)
+    deaths = tuple((a, b, a + b - 1) for a in range(1, window)
+                   for b in range(1, window - a + 1))
+    per_copy = len(deaths)
     levels = tuple((l, per_copy, 2 ** l, per_copy * 2 ** l)
                    for l in range(horizon + 1))
     bound = max(s for _, _, s in deaths)
@@ -455,11 +421,13 @@ def quotient_counterexample_report(horizon: int) -> QuotientReport:
     bounded below by 1 from then on."""
     if horizon < 4:
         raise ValueError("horizon must be >= 4")
+    _check_horizon(horizon)
     n = 2
+    system = standard_system(n)
     levels = []
     h2_sub = coh_dim(n, -3, 2)
     for k in range(horizon + 1):
-        term = standard_system(n).term(k).twist(-3)
+        term = system.term(k).twist(-3)
         h1 = term.cohomology(1)
         h2 = term.cohomology(2)
         bound = max(0, h2_sub - h2) if h1 == 0 else 0
@@ -495,37 +463,46 @@ class NonfreeReport:
                 "not free")
 
 
+def _transition(s):
+    """The pulled-back transition on one copy: the section s*e_w goes to
+    x*s*e_(2w) + y*s*e_(2w+1), returned as its two components."""
+    return s.ring.variable("x") * s, s.ring.variable("y") * s
+
+
+def _remainder(p, var: int):
+    """Remainder of p on division by the variable with index `var`: the
+    terms that variable does not divide."""
+    return rings.RingElement(p.ring, tuple((key, c) for key, c in p.terms()
+                                           if not key[var]))
+
+
 def nonfree_pullback_report(stages: int, degree_bound: int) -> NonfreeReport:
-    """Model the sections of the pulled-back system as polynomial tuples
-    with the transition s |-> (x*s, y*s) componentwise, and verify
-    symbolically that the image of every generator equals x*s + y*t with s,
-    t explicit sections one stage later."""
+    """Model the sections of the pulled-back system as tuples over k[x, y],
+    one component per copy, with stage k+1 holding twice the copies of
+    stage k, and decide whether the image of every generator mu*e_w
+    (mu a monomial of degree <= degree_bound, w a copy at a stage before
+    the last) lies in x*Gamma + y*Gamma one stage later.
+
+    A tuple lies there exactly when each component lies in the ideal
+    x*k[x,y] + y*k[x,y]: dividing a component by x and the remainder by y
+    leaves remainder 0.  The transition maps mu*e_w to the components x*mu
+    and y*mu, the same pair on every copy w and at every stage; only the
+    indices 2w, 2w+1 they land on differ.  So checking the transition of
+    mu*e_0 once per monomial decides all (2^(stages-1) - 1) * M generators
+    below the last stage, M the number of monomials; the zero section,
+    x*0 + y*0, is counted as one more.
+    """
     if stages < 2:
         raise ValueError("need at least 2 stages")
+    if stages > MAX_STAGES:
+        raise ValueError(f"stages must be <= {MAX_STAGES} (MAX_STAGES)")
+    if degree_bound > MAX_BOUND:
+        raise ValueError(f"bound must be <= {MAX_BOUND} (MAX_BOUND)")
     ring = rings.polynomial(["x", "y"])
-    x = ring.variable("x")
-    y = ring.variable("y")
     monomials = [ring.monomial((i, j), 1)
                  for i in range(degree_bound + 1)
                  for j in range(degree_bound + 1 - i)]
-    checked = 0
-    ok = True
-    for stage in range(stages - 1):
-        copies = 2 ** stage
-        for w in range(copies):
-            for mu in monomials:
-                # image of mu*e_w at the next stage
-                image = {2 * w: x * mu, 2 * w + 1: y * mu}
-                s_vec = {2 * w: mu}
-                t_vec = {2 * w + 1: mu}
-                recombined = {}
-                for comp, val in s_vec.items():
-                    recombined[comp] = recombined.get(comp, ring.zero()) + x * val
-                for comp, val in t_vec.items():
-                    recombined[comp] = recombined.get(comp, ring.zero()) + y * val
-                if recombined != image:
-                    ok = False
-                checked += 1
-    # the zero section decomposes as 0 = x*0 + y*0
-    checked += 1
+    ok = all(_remainder(_remainder(c, 0), 1).is_zero()
+             for mu in monomials for c in _transition(mu))
+    checked = (2 ** (stages - 1) - 1) * len(monomials) + 1
     return NonfreeReport(stages, degree_bound, checked, ok)

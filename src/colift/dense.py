@@ -109,6 +109,22 @@ def determinant(a) -> RingElement:
     return c if n % 2 == 0 else -c
 
 
+def diagonal_inverse(entries, block_index=None) -> list:
+    """The inverses of the diagonal entries of a diagonal block; raises
+    NonInvertibleError (carrying the offending entry and the block index)
+    at the first entry that is not a unit."""
+    out = []
+    for i, d in enumerate(entries):
+        v = rings.is_unit(d)
+        if v is None:
+            where = "" if block_index is None else f" (block {block_index})"
+            raise NonInvertibleError(
+                f"diagonal entry {rings.render(d)} at {i} is not a unit{where}",
+                det=d, block_index=block_index)
+        out.append(v)
+    return out
+
+
 def adjugate_inverse(a, block_index=None):
     """Exact inverse of a square block whose determinant is a unit.
 
@@ -123,22 +139,16 @@ def adjugate_inverse(a, block_index=None):
     if n == 0:
         return []
     ring = a[0][0].ring
-    where = "" if block_index is None else f" (block {block_index})"
     if all(a[i][j].is_zero() for i in range(n) for j in range(n) if i != j):
-        out = [[ring.zero()] * n for _ in range(n)]
-        for i in range(n):
-            v = rings.is_unit(a[i][i])
-            if v is None:
-                raise NonInvertibleError(
-                    f"diagonal entry {rings.render(a[i][i])} at {i} is not a "
-                    f"unit{where}", det=a[i][i], block_index=block_index)
-            out[i][i] = v
-        return out
+        inv = diagonal_inverse([a[i][i] for i in range(n)], block_index)
+        return [[inv[i] if i == j else ring.zero() for j in range(n)]
+                for i in range(n)]
     _check_size(n, block_index)
     poly = _char_poly(a)
     det = poly[n] if n % 2 == 0 else -poly[n]
     det_inv = rings.is_unit(det)
     if det_inv is None:
+        where = "" if block_index is None else f" (block {block_index})"
         raise NonInvertibleError(
             f"determinant {rings.render(det)} is not a unit of {ring}{where}",
             det=det, block_index=block_index)

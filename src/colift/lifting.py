@@ -155,9 +155,28 @@ class SparseBlock:
                 cols[j] = col
         return cls(len(block), cols)
 
+    @classmethod
+    def diagonal(cls, entries) -> "SparseBlock":
+        return cls(len(entries), {j: {j: d} for j, d in enumerate(entries)
+                                  if not d.is_zero()})
+
+    def is_diagonal(self) -> bool:
+        return all(col.keys() == {j} for j, col in self.cols.items())
+
+    def is_identity(self, ring) -> bool:
+        return self == SparseBlock.diagonal((ring.one(),) * self.size)
+
+    def to_dense(self, ring):
+        rows = [[ring.zero()] * self.size for _ in range(self.size)]
+        for j, col in self.cols.items():
+            for i, v in col.items():
+                rows[i][j] = v
+        return rows
+
 
 def _block_operations(ring, a: SparseBlock, b: SparseBlock, b_inv: SparseBlock,
-                      offset: int = 0, periodic: bool = False) -> list:
+                      offset: int = 0, periodic: bool = False,
+                      tail_size: int = 1) -> list:
     """The block operations turning diag(A, B) into diag(A*B, Id_k), as five
     matrices: C1 += C2 * B^-1, C2 -= C1 * B, the block swap C1 <-> C2 and
     C1 *= -1 (right factors, in this order), then R1 -= A * R2 (a left
@@ -166,10 +185,9 @@ def _block_operations(ring, a: SparseBlock, b: SparseBlock, b_inv: SparseBlock,
 
     The pair sits at `offset`; with `periodic` the operations act on every
     pair offset + t*2k at once (their supports are disjoint), through column
-    family runs: block columns with equal entries relative to the diagonal
-    are grouped into maximal arithmetic progressions (for a swindle corner,
-    one run per prefix column and per tail-column residue), and each run is
-    negated once."""
+    family runs (see _column_runs; for a swindle corner whose tail repeats
+    every `tail_size` columns, one run per prefix column and per tail-column
+    residue), and each run is negated once."""
     k = a.size
     period = 2 * k
     minus_one, one = -ring.one(), ring.one()
@@ -182,7 +200,7 @@ def _block_operations(ring, a: SparseBlock, b: SparseBlock, b_inv: SparseBlock,
                 ColumnFamily(offset + col_base + j, period,
                              tuple((shift + o, -v if negate else v) for o, v in rel),
                              stride, count)
-                for j, stride, count, rel in _column_runs(blk)])
+                for j, stride, count, rel in _column_runs(blk, tail_size)])
         return Elementary(ring, {
             offset + col_base + j: {offset + row_base + i: -v if negate else v
                                     for i, v in col.items()}
@@ -203,25 +221,49 @@ def _block_operations(ring, a: SparseBlock, b: SparseBlock, b_inv: SparseBlock,
             corner(a, row_base=0, col_base=k, negate=True)]
 
 
-def _column_runs(blk: SparseBlock) -> list:
+def _column_runs(blk: SparseBlock, tail_size: int = 1) -> list:
     """The nonzero columns of blk as runs (first column, stride, count,
-    entries as (row - column, value) pairs): columns with equal entries,
-    split into maximal arithmetic progressions, ordered by first column."""
+    entries as (row - column, value) pairs), ordered by first column.
+
+    Columns with equal entries are split into maximal arithmetic
+    progressions, either in column order or within each residue class mod
+    `tail_size`, whichever gives fewer runs.  Residues keep a short tail
+    cycle repeated many times at one run per residue (the cycle (u, u, -u)
+    lifted at window 1024: 6.0 KB, not 0.8 MB); column order keeps a long
+    cycle repeated a few times at one run per stretch of equal columns (the
+    period-3200 cycle of 1600 u then 1600 -1 at window 8: 4.9 KB and 0.3 s,
+    not 2.8 MB and 2.6 s)."""
     groups = {}
     for j in sorted(blk.cols):
         rel = tuple((i - j, v) for i, v in blk.cols[j].items())
         groups.setdefault(rel, []).append(j)
     runs = []
     for rel, cols in groups.items():
-        first = 0
-        while first < len(cols):
-            last = first + 1            # cols[first:last] is one progression
-            stride = cols[last] - cols[first] if last < len(cols) else 1
-            while last < len(cols) and cols[last] - cols[last - 1] == stride:
-                last += 1
-            runs.append((cols[first], stride, last - first, rel))
-            first = last
+        in_order = _progressions(cols)
+        residues = {}
+        for j in cols:
+            residues.setdefault(j % tail_size, []).append(j)
+        if len(residues) < len(in_order):   # else residues cannot do better
+            by_residue = [run for r in sorted(residues)
+                          for run in _progressions(residues[r])]
+            if len(by_residue) < len(in_order):
+                in_order = by_residue
+        runs += [(first, stride, count, rel) for first, stride, count in in_order]
     return sorted(runs, key=lambda run: run[0])
+
+
+def _progressions(cols) -> list:
+    """Ascending columns split greedily into maximal arithmetic
+    progressions, as (first, stride, count)."""
+    out, first = [], 0
+    while first < len(cols):
+        last = first + 1            # cols[first:last] is one progression
+        stride = cols[last] - cols[first] if last < len(cols) else 1
+        while last < len(cols) and cols[last] - cols[last - 1] == stride:
+            last += 1
+        out.append((cols[first], stride, last - first))
+        first = last
+    return out
 
 
 def whitehead_word(block_a, block_b, ring: RingDescriptor) -> ElementaryWord:
@@ -273,18 +315,14 @@ class SwindleWord:
     def target(self) -> ColFinMatrix:
         """The alternating diagonal as a dense-tailed block diagonal, built
         on first use (its tail has (2k)^2 entries)."""
-        ring, k = self.ring, self.block.size
-        tail = [[ring.zero()] * (2 * k) for _ in range(2 * k)]
-        for base, blk in ((0, self.block), (k, self.block_inverse)):
-            for j, col in blk.cols.items():
-                for i, v in col.items():
-                    tail[base + i][base + j] = v
-        prefix = [dense.identity(ring, self.offset)] if self.offset else []
-        return BlockDiagonal(ring, prefix, tail)
+        tail = _sparse_diagonal([self.block, self.block_inverse]).to_dense(self.ring)
+        prefix = [dense.identity(self.ring, self.offset)] if self.offset else []
+        return BlockDiagonal(self.ring, prefix, tail)
 
 
 def swindle_factorization(block_u, ring: RingDescriptor, offset: int = 0,
-                          u_inverse=None, tag: str = "swindle") -> SwindleWord:
+                          u_inverse=None, tag: str = "swindle",
+                          tail_size: int = 1) -> SwindleWord:
     """Factor diag(U, U^-1, U, U^-1, ...) into five infinite structured
     factors: the block operations that turn every disjoint pair
     diag(U, U^-1) into the identity, applied simultaneously on all pairs,
@@ -293,14 +331,16 @@ def swindle_factorization(block_u, ring: RingDescriptor, offset: int = 0,
     U may be a ring element, a dense block or a SparseBlock; U^-1 is given
     in the same form, or omitted for a dense U and computed by the
     adjugate.  Only nonzero entries are visited, so the work and the word
-    are linear in the number of nonzero entries."""
+    are linear in the number of nonzero entries.  `tail_size` is the period
+    of U's repeating tail, if any; it only shapes the column runs."""
     if isinstance(block_u, RingElement):
         block_u = [[block_u]]
     if u_inverse is None:
         u_inverse = dense.adjugate_inverse(block_u)
     u, u_inv = (b if isinstance(b, SparseBlock) else SparseBlock.from_dense(b)
                 for b in (block_u, u_inverse))
-    ops = _block_operations(ring, u, u_inv, u, offset, periodic=True)
+    ops = _block_operations(ring, u, u_inv, u, offset, periodic=True,
+                            tail_size=tail_size)
     factors = tuple(CertFactor(invert(op).swapped(), tag) for op in reversed(ops))
     return SwindleWord(ring, factors, u, u_inv, offset)
 
@@ -309,40 +349,42 @@ def swindle_factorization(block_u, ring: RingDescriptor, offset: int = 0,
 # Block decomposition of supported inputs
 # ---------------------------------------------------------------------------
 
-def _is_identity_block(blk) -> bool:
-    return all(v == int(i == j) for i, row in enumerate(blk) for j, v in enumerate(row))
-
-
 def _as_blocks(m: ColFinMatrix):
-    """(prefix dense blocks, tail block or None) for the supported classes."""
+    """(prefix SparseBlocks, tail SparseBlock or None) for the supported
+    classes; a scalar diagonal's tail cycle is one diagonal block."""
     ring = m.ring
     if isinstance(m, Identity):
         return [], None
     if isinstance(m, ScalarDiagonal):
-        prefix = [[[d]] for d in m.prefix]
-        cycle = m.tail_cycle
-        tail = None if m.tail_is_one() else \
-            [[d if i == j else ring.zero() for j, d in enumerate(cycle)]
-             for i in range(len(cycle))]
+        prefix = [SparseBlock.diagonal((d,)) for d in m.prefix]
+        tail = None if m.tail_is_one() else SparseBlock.diagonal(m.tail_cycle)
         return prefix, tail
     if isinstance(m, FinitePerturbation):
-        return ([m.corner] if m.size else []), None
+        return ([SparseBlock.from_dense(m.corner)] if m.size else []), None
     if isinstance(m, BlockDiagonal):
         tail = m.tail_block
-        if tail is not None and _is_identity_block(tail):
-            tail = None
-        return list(m.prefix_blocks), tail
+        if tail is not None:
+            tail = SparseBlock.from_dense(tail)
+            if tail.is_identity(ring):
+                tail = None
+        return [SparseBlock.from_dense(b) for b in m.prefix_blocks], tail
     raise UnsupportedMatrixError(
         f"form {m.form!r} is not in the supported lifting classes "
         "(finite perturbation, unit scalar diagonal, invertible block "
         "diagonal, elementary, permutation, or a product of these)")
 
 
-def _block_inverse(blk, name, ring):
-    """The inverse of input block `name` (its prefix index or "tail"); dense
+def _block_inverse(blk: SparseBlock, name, ring) -> SparseBlock:
+    """The inverse of input block `name` (its prefix index or "tail"): a
+    diagonal block entrywise, any other through the dense adjugate.  Dense
     size and invertibility errors become UnsupportedMatrixError here."""
     try:
-        return dense.adjugate_inverse(blk, block_index=name)
+        if blk.is_diagonal():
+            entries = [blk.cols.get(j, {}).get(j, ring.zero())
+                       for j in range(blk.size)]
+            return SparseBlock.diagonal(dense.diagonal_inverse(entries, name))
+        return SparseBlock.from_dense(
+            dense.adjugate_inverse(blk.to_dense(ring), block_index=name))
     except dense.DenseSizeError as exc:
         raise UnsupportedMatrixError(str(exc)) from exc
     except dense.NonInvertibleError as exc:
@@ -586,27 +628,30 @@ def _word_factors(m: ColFinMatrix, requested_window: int) -> list:
     ring = m.ring
     prefix, tail = _as_blocks(m)
     blocks = [(b, _block_inverse(b, idx, ring)) for idx, b in enumerate(prefix)]
+    tail_size = 1
     if tail is not None:
-        prefix_end = sum(len(b) for b in prefix)
-        copies = -(-max(2 * requested_window - prefix_end, 0) // len(tail))
+        tail_size = tail.size
+        prefix_end = sum(b.size for b in prefix)
+        copies = -(-max(2 * requested_window - prefix_end, 0) // tail_size)
         blocks += [(tail, _block_inverse(tail, "tail", ring))] * copies
-    if all(_is_identity_block(b) for b, _ in blocks):
+    if all(b.is_identity(ring) for b, _ in blocks):
         return []
     corner, corner_inv = (_sparse_diagonal([pair[side] for pair in blocks])
                           for side in (0, 1))
-    first = swindle_factorization(corner, ring, offset=0, u_inverse=corner_inv)
-    second = swindle_factorization(corner, ring, offset=corner.size,
-                                   u_inverse=corner_inv)
+    first, second = (swindle_factorization(corner, ring, offset=offset,
+                                           u_inverse=corner_inv,
+                                           tail_size=tail_size)
+                     for offset in (0, corner.size))
     return list(first.factors + second.factors)
 
 
 def _sparse_diagonal(blocks) -> SparseBlock:
-    """diag(blocks...) of dense blocks as one SparseBlock."""
+    """diag(blocks...) as one SparseBlock."""
     cols, start = {}, 0
     for b in blocks:
-        for j, col in SparseBlock.from_dense(b).cols.items():
+        for j, col in b.cols.items():
             cols[start + j] = {start + i: v for i, v in col.items()}
-        start += len(b)
+        start += b.size
     return SparseBlock(start, cols)
 
 

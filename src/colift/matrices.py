@@ -519,11 +519,6 @@ def window(m: ColFinMatrix, n: int):
     return out
 
 
-def window_rendered(m: ColFinMatrix, n: int):
-    """Row-major dense window with entries rendered as expression strings."""
-    return [[rings.render(v) for v in row] for row in window(m, n)]
-
-
 def multiply(a: ColFinMatrix, b: ColFinMatrix) -> ColFinMatrix:
     """Product a*b.  The identity is absorbed and two scalar diagonals
     multiply entrywise (giving the identity when every entry is one) unless
@@ -733,47 +728,52 @@ def matrix_from_json(ring: RingDescriptor, data: dict) -> ColFinMatrix:
         return Identity(ring)
     if form == "scalar_diagonal":
         tail = data["tail"]
-        prefix = _runs_from_json(ring, data.get("prefix", []))
+        prefix = _runs_from_json(ring, _json_list(data, "prefix", []))
         cycle = _runs_from_json(ring, tail) if isinstance(tail, list) \
             else [(parse(tail), 1)]
         _check_expansion(sum(n for _, n in prefix + cycle), "diagonal entries")
         return ScalarDiagonal(ring, _expand_runs(prefix), _expand_runs(cycle))
     if form == "finite_perturbation":
-        return FinitePerturbation(ring, [[parse(v) for v in row]
-                                         for row in data["corner"]])
+        return FinitePerturbation(
+            ring, _block_from_json(ring, data["corner"], "'corner'"))
     if form == "block_diagonal":
-        tail = data.get("tail")
         return BlockDiagonal(
             ring,
-            [[[parse(v) for v in row] for row in blk]
-             for blk in data.get("prefix", [])],
-            [[parse(v) for v in row] for row in tail] if tail is not None else None)
+            [_block_from_json(ring, blk, "a 'prefix' block")
+             for blk in _json_list(data, "prefix", [])],
+            _block_from_json(ring, data["tail"], "'tail'")
+            if data.get("tail") is not None else None)
     if form == "elementary":
-        head = {int(j): {int(i): parse(v) for i, v in col.items()}
-                for j, col in data.get("cols", {}).items()}
+        head = {int(j): {int(i): parse(v) for i, v in
+                         _json_checked(col, "each value of 'cols'", dict).items()}
+                for j, col in _json_object(data, "cols", {}).items()}
         fams = [ColumnFamily(_json_int(f, "start"), _json_int(f, "period"),
                              tuple((int(o), parse(v))
-                                   for o, v in f["entries"].items()),
+                                   for o, v in _json_object(f, "entries").items()),
                              _json_int(f, "stride", 1), _json_int(f, "count", 1))
-                for f in data.get("families", [])]
+                for f in (_json_checked(f, "each item of 'families'", dict)
+                          for f in _json_list(data, "families", []))]
         return Elementary(ring, head, fams)
     if form == "permutation":
         if "map" in data:
             bij = FinitePermutation(tuple(sorted(
-                (int(i), int(s)) for i, s in data["map"].items())))
+                (int(i), _json_checked(s, "each value of 'map'", int))
+                for i, s in _json_object(data, "map").items())))
         else:
-            period = int(data["period"])
+            period = _json_int(data, "period")
             if "rotate" in data:
                 if "residues" in data:
                     raise MatrixFormError("a permutation gives residues or rotate, not both")
                 images = _rotation(_json_int(data, "rotate"), period)
             else:
-                images = tuple(data["residues"])
-            bij = BlockPeriodicPermutation(int(data.get("offset", 0)), period, images)
+                images = tuple(_json_list(data, "residues"))
+            bij = BlockPeriodicPermutation(_json_int(data, "offset", 0),
+                                           period, images)
         return Permutation(ring, bij)
     if form == "product":
         try:
-            factors = [matrix_from_json(ring, f) for f in data["factors"]]
+            factors = [matrix_from_json(ring, f)
+                       for f in _json_list(data, "factors")]
         except RecursionError:
             # a JSON decoder allowed deeper C recursion than Python's limit
             # hands over products nested past that limit
@@ -782,11 +782,40 @@ def matrix_from_json(ring: RingDescriptor, data: dict) -> ColFinMatrix:
     raise MatrixFormError(f"unknown matrix form {form!r}")
 
 
-def _json_int(data: dict, key: str, default=None) -> int:
-    value = data.get(key, default) if default is not None else data[key]
-    if type(value) is not int:
-        raise MatrixFormError(f"{key!r} must be an integer, got {value!r:.40}")
+_JSON_KINDS = {int: "an integer", dict: "an object", list: "a list"}
+
+
+def _json_checked(value, what: str, kind: type):
+    """value, whose JSON type must be `kind` (so true is not an integer);
+    `what` names it in the error."""
+    if type(value) is not kind:
+        raise MatrixFormError(f"{what} must be {_JSON_KINDS[kind]}, got {value!r:.40}")
     return value
+
+
+def _json_field(data: dict, key: str, kind: type, default=None):
+    """data[key], or `default` when one is given and the key is absent."""
+    value = data.get(key, default) if default is not None else data[key]
+    return _json_checked(value, repr(key), kind)
+
+
+def _json_int(data: dict, key: str, default=None) -> int:
+    return _json_field(data, key, int, default)
+
+
+def _json_object(data: dict, key: str, default=None) -> dict:
+    return _json_field(data, key, dict, default)
+
+
+def _json_list(data: dict, key: str, default=None) -> list:
+    return _json_field(data, key, list, default)
+
+
+def _block_from_json(ring, block, what: str) -> list:
+    """A dense block: a list of rows, each a list of entries."""
+    return [[rings.parse_element(ring, v)
+             for v in _json_checked(row, f"each row of {what}", list)]
+            for row in _json_checked(block, what, list)]
 
 
 def _runs_to_json(seq) -> list:

@@ -450,60 +450,6 @@ class BezoutWitness:
         return total.is_one()
 
 
-def bezout(vector) -> Optional[BezoutWitness]:
-    """Produce a Bezout witness for a unimodular vector, if an oracle applies.
-
-    Oracles, in order: a unit entry; iterated extended Euclid over Z;
-    the same reduction over Z/m.  Anything else returns None and the
-    caller must supply a witness explicitly.  The returned witness is
-    checked against the vector before being handed out, never trusted.
-    """
-    vector = list(vector)
-    if not vector:
-        return None
-    ring = vector[0].ring
-    for a in vector:
-        if a.ring != ring:
-            raise RingError("bezout entries must share a ring")
-    witness = None
-    for i, a in enumerate(vector):
-        inv = is_unit(a)
-        if inv is not None:
-            coeffs = [ring.zero()] * len(vector)
-            coeffs[i] = inv
-            witness = BezoutWitness(tuple(coeffs))
-            break
-    if witness is None and ring.kind == "integers":
-        g, coeffs = _iterated_euclid([a.payload for a in vector])
-        if g == 1:
-            witness = BezoutWitness(tuple(ring.from_int(c) for c in coeffs))
-        elif g == -1:
-            witness = BezoutWitness(tuple(ring.from_int(-c) for c in coeffs))
-    if witness is None and ring.kind == "residue":
-        m = ring.modulus
-        g, coeffs = _iterated_euclid([a.payload for a in vector])
-        d = _inverse_mod(g, m) if g else None
-        if d is not None:
-            witness = BezoutWitness(tuple(ring.from_int(c * d) for c in coeffs))
-    if witness is not None and not witness.check(vector):
-        raise RingError("internal: produced Bezout coefficients do not sum to 1")
-    return witness
-
-
-def _iterated_euclid(values):
-    """gcd of values together with integer coefficients realizing it."""
-    g = values[0]
-    coeffs = [1] + [0] * (len(values) - 1)
-    for i in range(1, len(values)):
-        if g == 0 and values[i] == 0:
-            continue
-        new_g, s, t = _ext_gcd(g, values[i])
-        coeffs = [c * s for c in coeffs]
-        coeffs[i] = t
-        g = new_g
-    return g, coeffs
-
-
 # ---------------------------------------------------------------------------
 # Rendering
 # ---------------------------------------------------------------------------
@@ -711,6 +657,8 @@ class _Parser:
 
 
 def parse_element(ring: RingDescriptor, text: str) -> RingElement:
+    if not isinstance(text, str):
+        raise ParseError(f"an element is an expression string, got {text!r:.40}", 0)
     return _Parser(ring, text).parse()
 
 
@@ -748,12 +696,3 @@ def descriptor_from_json(data) -> RingDescriptor:
     if kind == "laurent":
         return laurent(data["var"], coeff)
     raise RingError(f"bad ring descriptor {data!r}")
-
-
-def element_to_json(x: RingElement):
-    return {"ring": descriptor_to_json(x.ring), "expr": render(x)}
-
-
-def element_from_json(data) -> RingElement:
-    ring = descriptor_from_json(data["ring"])
-    return parse_element(ring, data["expr"])

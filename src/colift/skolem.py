@@ -76,11 +76,6 @@ def _identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def _unit_matrix(n, i, j):
-    return tuple(tuple(1 if (r, c) == (i, j) else 0 for c in range(n))
-                 for r in range(n))
-
-
 def matrix_inverse(ring: RingDescriptor, m):
     """Exact inverse by Gauss-Jordan elimination: in residues over Z/p, in
     Fractions over Z, where the determinant must be a unit (+-1)."""

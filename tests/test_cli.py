@@ -2,6 +2,7 @@ import json
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import time
@@ -9,7 +10,7 @@ import time
 import pytest
 
 import colift
-from colift import cli, dense, lifting, rings, skolem
+from colift import cli, cohomology, dense, lifting, rings, skolem
 
 from conftest import random_invertible_mod
 
@@ -384,6 +385,40 @@ def test_malformed_permutation_exits_2(tmp_path, capsys, matrix):
     assert "Traceback" not in stderr
 
 
+HOSTILE_SHAPES = [
+    ({"form": "elementary", "cols": {}, "families": [5]}, "'families'"),
+    ({"form": "elementary", "cols": {},
+      "families": [{"start": 0, "period": 2, "entries": 5}]}, "'entries'"),
+    ({"form": "elementary", "cols": 5}, "'cols'"),
+    ({"form": "scalar_diagonal", "prefix": 5, "tail": "1"}, "'prefix'"),
+    ({"form": "block_diagonal", "prefix": 5}, "'prefix'"),
+    ({"form": "finite_perturbation", "corner": 5}, "'corner'"),
+    ({"form": "permutation", "map": 5}, "'map'"),
+    ({"form": "product", "factors": 5}, "'factors'"),
+    ({"form": "elementary", "cols": {"0": 5}}, "'cols'"),
+    ({"form": "block_diagonal", "prefix": [], "tail": [5]}, "'tail'"),
+    ({"form": "permutation", "map": {"0": [1]}}, "'map'"),
+    ({"form": "finite_perturbation", "corner": [[5]]}, "expression string"),
+]
+
+
+@pytest.mark.parametrize("matrix, message", HOSTILE_SHAPES, ids=[
+    "family-not-object", "entries-not-object", "cols-not-object",
+    "diagonal-prefix-not-list", "block-prefix-not-list", "corner-not-list",
+    "map-not-object", "factors-not-list", "column-not-object", "tail-row-not-list",
+    "map-image-not-index", "entry-not-string"])
+def test_hostile_json_shapes_exit_2(tmp_path, capsys, matrix, message):
+    """A field of the wrong JSON type is an input error naming the field,
+    in a matrix file and as a certificate factor."""
+    path = _write(tmp_path / "m.json", "Z/5", matrix)
+    cert = _certificate_with_factor(tmp_path, capsys, matrix)
+    for argv in (["lift", "--hom", "z_to_z5", "--matrix", str(path)],
+                 ["verify", "--certificate", str(cert)]):
+        code, _, stderr = run_cli(argv + ["--window", "8"], capsys)
+        assert code == 2
+        assert message in stderr and "Traceback" not in stderr
+
+
 def _family(stride=1, count=1, start=0, period=4, entries=None):
     return {"start": start, "period": period, "entries": entries or {"2": "1"},
             "stride": stride, "count": count}
@@ -442,22 +477,45 @@ def test_hostile_compressed_forms_exit_2_quickly(tmp_path, capsys, matrix, messa
 def test_flagship_certificate_size_is_flat_in_the_window(tmp_path, udiag_file, capsys):
     """The window-64 flagship certificate the CLI writes is under 10 KB, and
     at window 1024 it is at most 1.2x that, as for a Z/101 block diagonal
-    with a 3x3 prefix block and a k=4 tail."""
+    with a 3x3 prefix block and a k=4 tail, and for the tail cycle
+    (u, u, -u), whose equal columns are not one arithmetic progression."""
     rng = random.Random(9)
     rendered = lambda k: [[rings.render(v) for v in row]
                           for row in random_invertible_mod(rings.residue(101), k, rng)]
     blocks = _write(tmp_path / "blocks.json", "Z/101", {
         "form": "block_diagonal", "prefix": [rendered(3)], "tail": rendered(4)})
+    uuu = _write(tmp_path / "uuu.json", LAURENT, {
+        "form": "scalar_diagonal", "prefix": [], "tail": ["u", "u", "-u"]})
     sizes = {}
-    for hom, path in (("zxy_to_laurent", udiag_file), ("z_to_z101", blocks)):
+    for hom, path in (("zxy_to_laurent", udiag_file), ("z_to_z101", blocks),
+                      ("zxy_to_laurent", uuu)):
         for window in (64, 1024):
             out = tmp_path / f"{hom}_{window}.json"
             code, _, _ = run_cli(["lift", "--hom", hom, "--matrix", str(path),
                                   "--window", str(window), "--out", str(out)], capsys)
             assert code == 0
-            sizes[hom, window] = out.stat().st_size
-        assert sizes[hom, 1024] <= 1.2 * sizes[hom, 64]
-    assert sizes["zxy_to_laurent", 64] < 10_000
+            sizes[path, window] = out.stat().st_size
+        assert sizes[path, 1024] <= 1.2 * sizes[path, 64]
+    assert sizes[udiag_file, 64] < 10_000
+
+
+def test_long_scalar_tail_cycle_lifts_quickly(tmp_path, capsys):
+    """A tail cycle of period 3200 stays a diagonal block: it is never
+    expanded to a dense 3200 x 3200 block.  Its one copy holds two stretches
+    of 1600 equal columns, each one column-order run, so the certificate
+    stays small (one run per column would make it about 2.8 MB)."""
+    path = _write(tmp_path / "tail.json", LAURENT, {
+        "form": "scalar_diagonal", "prefix": [],
+        "tail": [["u", 1600], ["-1", 1600]]})
+    out = tmp_path / "cert.json"
+    t0 = time.perf_counter()
+    code, stdout, _ = run_cli(["lift", "--hom", "zxy_to_laurent", "--matrix",
+                               str(path), "--window", "8", "--out", str(out)],
+                              capsys)
+    assert code == 0
+    assert time.perf_counter() - t0 < 2.0
+    assert "verification on window 8: PASS" in stdout
+    assert out.stat().st_size < 10_000
 
 
 @pytest.mark.parametrize("expr", ["(1+u)^300000", "(2)^99999999"])
@@ -670,6 +728,47 @@ def test_cohomology_counterexample_reports(capsys):
         code, stdout, _ = run_cli(["cohomology"] + args, capsys)
         assert code == 0
         assert stdout.strip()
+
+
+@pytest.mark.parametrize("args, cap", [
+    (["--report", "punctured", "--horizon", "15000"], "MAX_HORIZON"),
+    (["--report", "punctured", "--window", "3000"], "MAX_WINDOW"),
+    (["--report", "quotient", "--horizon", "200000"], "MAX_HORIZON"),
+    (["--report", "nonfree", "--bound", "300"], "MAX_BOUND"),
+    (["--report", "nonfree", "--stages", "100000"], "MAX_STAGES"),
+    (["--system", "shifted:P1", "--horizon", "100000"], "MAX_HORIZON"),
+])
+def test_cohomology_over_a_cap_exits_2_naming_it(args, cap, capsys):
+    code, stdout, stderr = run_cli(["cohomology"] + args, capsys)
+    assert code == 2
+    assert cap in stderr and "Traceback" not in stderr
+    assert stdout == ""
+
+
+@pytest.mark.parametrize("args", [
+    ["--report", "nonfree", "--stages", "18", "--bound", "2"],
+    ["--system", "standard:P1000000"],
+    ["--system", "standard:P1000000", "--cond", "V0", "--twist", "-10000000"],
+    ["--system", "standard:P1000000", "--cond", "V'0", "--twist", "-10000000"],
+    ["--report", "punctured", "--window", str(cohomology.MAX_WINDOW),
+     "--horizon", str(cohomology.MAX_HORIZON)],
+    ["--report", "quotient", "--horizon", str(cohomology.MAX_HORIZON)],
+    ["--report", "nonfree", "--stages", str(cohomology.MAX_STAGES),
+     "--bound", str(cohomology.MAX_BOUND)],
+    ["--system", "shifted:P3", "--cond", "V0", "--horizon",
+     str(cohomology.MAX_HORIZON)] + [a for d in range(-20, 21)
+                                for a in ("--twist", str(d))],
+])
+def test_cohomology_reports_at_their_caps_stay_small(args, capsys):
+    for fmt in ("text", "json"):
+        t0 = time.perf_counter()
+        code, stdout, stderr = run_cli(["cohomology"] + args
+                                       + ["--format", fmt], capsys)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 0, stderr
+        assert len(stdout) < 2_000_000
+        # far from Python's 4,300-digit int-to-str limit
+        assert max(map(len, re.findall(r"\d+", stdout))) < 1000
 
 
 def test_demo_all_pass(capsys):

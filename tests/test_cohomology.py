@@ -69,9 +69,21 @@ def test_standard_system_p2_multiplicity():
     assert C.standard_system(2).term(2).degrees == ((2, 9),)
 
 
+def rank_strictly_increasing(system, horizon):
+    ranks = [system.term(k).rank for k in range(horizon + 1)]
+    return all(a < b for a, b in zip(ranks, ranks[1:]))
+
+
 def test_standard_system_rank_strictly_increasing():
     for n in (1, 2, 3):
-        assert C.standard_system(n).rank_strictly_increasing(10)
+        assert rank_strictly_increasing(C.standard_system(n), 10)
+
+
+def test_min_degree_matches_the_built_terms():
+    for n in (1, 2, 3):
+        for system in (C.standard_system(n), C.shifted_sum_system(n)):
+            for k in range(12):
+                assert system.min_degree(k) == system.term(k).min_degree
 
 
 def test_shifted_sum_terms():
@@ -103,13 +115,6 @@ def test_shifted_sum_fails_g_at_every_level():
 def test_shifted_sum_passes_g_colimit():
     rep = C.check_condition(C.shifted_sum_system(1), "G'", [0], 12)
     assert rep.verdicts[0].outcome == "PASS"
-
-
-def test_constant_system_colimit_failures_are_decided():
-    base = C.LineBundleSum(1, ((-2, 1),))
-    const = C.constant_system(base)
-    assert C.check_condition(const, "G'", [0], 8).verdicts[0].outcome == "FAIL"
-    assert C.check_condition(const, "V'0", [0], 8).verdicts[0].outcome == "FAIL"
 
 
 def test_inconclusive_when_horizon_too_small():
@@ -242,6 +247,15 @@ def test_nonfree_identity_certified():
     rep = C.nonfree_pullback_report(3, 4)
     assert rep.all_decomposed
     assert rep.generators_checked == 1 * 15 + 2 * 15 + 1
+
+
+def test_nonfree_check_fails_for_a_mutant_transition(monkeypatch):
+    # s |-> (x*s, s): the second component of 1*e_0 is 1, outside <x, y>
+    monkeypatch.setattr(C, "_transition",
+                        lambda s: (s.ring.variable("x") * s, s))
+    rep = C.nonfree_pullback_report(3, 4)
+    assert rep.to_json()["identity_certified"] is False
+    assert "FAILED" in rep.to_text()
 
 
 def test_nonfree_zero_section():

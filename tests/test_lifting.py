@@ -88,7 +88,7 @@ def test_reduce_rejects_bad_witness():
 
 def test_reduce_factors_are_liftable_generators():
     a = [Z.from_int(6), Z.from_int(10), Z.from_int(15)]
-    word = unimodular_reduce(a, rings.bezout(a))
+    word = unimodular_reduce(a, BezoutWitness(tuple(Z.from_int(c) for c in (1, 1, -1))))
     for step in word.steps:
         assert isinstance(step.inv.matrix, (Elementary, Permutation))
 
@@ -562,15 +562,22 @@ def test_product_lift_verifies_once(monkeypatch):
 
 def test_lift_inverts_each_input_block_once(monkeypatch):
     """Every copy of the tail in the swindle corner reuses the tail's
-    inverse, and the corner's inverse is assembled from the block inverses."""
+    inverse, and the corner's inverse is assembled from the block inverses
+    (diagonal blocks entrywise, the others through the adjugate)."""
     seen = []
-    real = dense.adjugate_inverse
+    real, real_diagonal = dense.adjugate_inverse, dense.diagonal_inverse
 
     def counting(a, block_index=None):
         seen.append([[v.payload for v in row] for row in a])
         return real(a, block_index=block_index)
 
+    def counting_diagonal(entries, block_index=None):
+        seen.append([[d.payload if i == j else 0 for j in range(len(entries))]
+                     for i, d in enumerate(entries)])
+        return real_diagonal(entries, block_index=block_index)
+
     monkeypatch.setattr(dense, "adjugate_inverse", counting)
+    monkeypatch.setattr(dense, "diagonal_inverse", counting_diagonal)
     rng = random.Random(3)
     prefix = [_random_invertible(Z5, k, rng) for k in (2, 1, 3)]
     tail = _random_invertible(Z5, 2, rng)
@@ -583,6 +590,24 @@ def test_lift_inverts_each_input_block_once(monkeypatch):
 # SHA-256 of the bytes `colift lift --out` writes for fixed inputs.  They pin
 # the certificate format: a change that alters it on purpose updates these
 # hashes together with docs/formats.md.
+def test_diagonal_block_inverse_keeps_the_adjugate_error_text():
+    """A diagonal block is inverted entrywise, without a dense copy, and a
+    non-unit entry (a missing one is zero) is reported as the dense
+    adjugate's diagonal path reports it."""
+    u = LAU.variable("u")
+    for entries in ([u, u + 1], [u, LAU.zero(), u]):
+        blk = lifting.SparseBlock.diagonal(entries)
+        with pytest.raises(dense.NonInvertibleError) as dense_exc:
+            dense.adjugate_inverse(blk.to_dense(LAU), block_index="tail")
+        with pytest.raises(UnsupportedMatrixError) as lift_exc:
+            lifting._block_inverse(blk, "tail", LAU)
+        assert str(lift_exc.value) == \
+            f"block tail is not invertible over {LAU}: {dense_exc.value}"
+    inv = lifting._block_inverse(lifting.SparseBlock.diagonal([u, -u]), 0, LAU)
+    assert inv == lifting.SparseBlock.diagonal([LAU.variable("u", -1),
+                                                -LAU.variable("u", -1)])
+
+
 GOLDEN_CERTIFICATES = [
     ("zxy_to_laurent", ScalarDiagonal(LAU, (), LAU.variable("u")),
      "2a69882e85eb6e31c5d8f581c4ba43363cb5af10f6c7ca26cb50c6711cda124c"),
@@ -734,7 +759,7 @@ def test_every_supported_input_lifts_by_two_swindles(hom_name, kind, window, see
         if tail is not None:
             horizons = None
         elif horizons is not None:
-            horizons.append(sum(len(b) for b in prefix))
+            horizons.append(sum(b.size for b in prefix))
     assert sum(map(len, words)) == cert.word_length()
     if horizons is not None:
         # identity tails: the word is the input everywhere, so past every h

@@ -425,11 +425,6 @@ def test_index_bijection_forward_inverse_on_window():
         assert bij(inverse_apply(bij, idx)) == idx
 
 
-def test_window_rendered_row_major():
-    d = ScalarDiagonal(LAU, (), LAU.variable("u"))
-    assert matrices.window_rendered(d, 2) == [["u", "0"], ["0", "u"]]
-
-
 def test_matrix_json_spec_examples():
     d = matrix_from_json(LAU, {"form": "scalar_diagonal", "prefix": [],
                                "tail": "u"})

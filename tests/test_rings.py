@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from colift import rings
-from colift.rings import (ParseError, RingError, bezout, integers, is_unit,
+from colift.rings import (ParseError, RingError, integers, is_unit,
                           laurent, parse_element, polynomial, render,
                           residue)
 
@@ -151,61 +151,6 @@ def test_unit_laurent_over_prime_field():
 
 
 # ---------------------------------------------------------------------------
-# bezout witnesses
-# ---------------------------------------------------------------------------
-
-def test_bezout_integers_euclid():
-    vec = [Z.from_int(v) for v in (6, 10, 15)]
-    w = bezout(vec)
-    # 6 + 10 - 15 = 1 exhibits unimodularity; the oracle check is exact
-    assert 6 + 10 - 15 == 1
-    assert w is not None and w.check(vec)
-
-
-def test_bezout_laurent_unit_entry():
-    u = LAU.variable("u")
-    w = bezout([u])
-    assert w is not None
-    assert w.coefficients == (LAU.variable("u", -1),)
-
-
-def test_bezout_unit_entry_rule():
-    r = el(ZXY, "x*y - 3")
-    vec = [ZXY.one(), r]
-    w = bezout(vec)
-    assert w.coefficients == (ZXY.one(), ZXY.zero())
-
-
-def test_bezout_residue():
-    Z12 = residue(12)
-    vec = [Z12.from_int(v) for v in (8, 9)]
-    w = bezout(vec)
-    assert w is not None and w.check(vec)
-
-
-def test_bezout_absent_without_oracle():
-    vec = [ZXY.variable("x"), ZXY.variable("y")]
-    assert bezout(vec) is None
-
-
-def test_bezout_absent_for_non_unimodular():
-    vec = [Z.from_int(4), Z.from_int(6)]
-    assert bezout(vec) is None
-
-
-def test_bezout_output_always_checked():
-    import random
-    rng = random.Random(1)
-    for _ in range(50):
-        n = rng.randrange(1, 5)
-        vec = [Z.from_int(rng.randrange(-30, 30)) for _ in range(n - 1)]
-        vec.append(Z.from_int(1 + sum(rng.randrange(3) for _ in range(1))))
-        w = bezout(vec)
-        if w is not None:
-            assert w.check(vec)
-
-
-# ---------------------------------------------------------------------------
 # parsing and rendering
 # ---------------------------------------------------------------------------
 
@@ -337,11 +282,6 @@ def test_descriptor_validation():
 def test_descriptor_json_roundtrip():
     for ring in (Z, Z5, ZXY, LAU, laurent("v", residue(9))):
         assert rings.descriptor_from_json(rings.descriptor_to_json(ring)) == ring
-
-
-def test_element_json_roundtrip():
-    x = el(LAU, "u^-2 + 5")
-    assert rings.element_from_json(rings.element_to_json(x)) == x
 
 
 # ---------------------------------------------------------------------------

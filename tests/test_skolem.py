@@ -133,10 +133,15 @@ def test_recover_over_z_with_unimodular_conjugator():
     assert central_scalar(ratio, Z) is not None
 
 
+def unit_matrix(n, i, j):
+    return tuple(tuple(1 if (r, c) == (i, j) else 0 for c in range(n))
+                 for r in range(n))
+
+
 def test_matrix_unit_rigidity():
     """A spec fixing every matrix unit recovers a scalar (here the identity)."""
     n = 3
-    images = tuple((i, j, skolem._unit_matrix(n, i, j))
+    images = tuple((i, j, unit_matrix(n, i, j))
                    for i in range(n) for j in range(n))
     spec = AlgebraAutoSpec(n, Z101, images)
     conj = recover_conjugator(spec)
